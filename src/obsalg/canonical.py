@@ -32,6 +32,7 @@ from .core import (
     Observable,
     ProjectorBasis,
     PseudoObservable,
+    _frozen,
     opnorm,
 )
 from .report import CheckReport
@@ -112,7 +113,7 @@ def make_position(n: int, epsilon: float) -> LinearSpectrumObservable:
         raise AlgebraError(f"resolution must be positive, got {epsilon}")
     d = 2 * n
     labels = [j * float(epsilon) for j in range(-n, n)]
-    frame = np.eye(d, dtype=complex)
+    frame = _frozen(np.eye(d, dtype=complex))
     obs = Observable(np.diag(np.array(labels, dtype=complex)))
     basis = ProjectorBasis.from_frame(frame, [1] * d, labels=labels)
     return LinearSpectrumObservable(n, epsilon, obs, basis, frame)
@@ -186,7 +187,7 @@ def make_canonical_pair(q: LinearSpectrumObservable, hbar: float = 1.0) -> Canon
     if not hbar > 0:
         raise AlgebraError(f"hbar must be positive, got {hbar}")
     n, d, eps = q.n, q.dim, q.epsilon
-    fourier = q.frame @ _fourier_matrix(n)
+    fourier = _frozen(q.frame @ _fourier_matrix(n))
     p_values = [k * math.pi * hbar / (n * eps) for k in range(-n, n)]
     momentum_basis = ProjectorBasis.from_frame(fourier, [1] * d, labels=p_values)
     p = Observable((fourier * np.array(p_values)) @ fourier.conj().T)

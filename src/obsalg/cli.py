@@ -53,10 +53,7 @@ def cmd_run(args) -> int:
     config = config_from_doc(doc, base_dir)
     outdir = Path(args.out) if args.out else _default_outdir()
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        result = run_scenario(config, base_dir)
-    except (SchemaError, AlgebraError):
-        raise
+    result = run_scenario(config, base_dir)
     trace_path = outdir / f"{config.name}_trace.csv"
     audit_path = outdir / f"{config.name}_audit.json"
     write_csv(trace_path, result.header, result.rows)

@@ -6,6 +6,13 @@ observables are evaluated by spectral calculus.  Every type is an immutable
 value and every operation a pure function, so unrestricted concurrent use is
 safe.
 
+All spectral calculus runs through one kernel, ``_spectral_frame``: one
+``eigh`` per operator, certified once, returning the eigenvector frame, the
+cluster means and the multiplicities.  A function of the operator is then
+``(V * repeat(f(means), mults)) @ V^dagger``, and spectral decompositions
+keep the frame rather than one dense projector per eigenvalue, so memory
+stays O(d^2).
+
 Tolerances are stated once here and reused by all other modules:
 
 * ``TOL_HERM``   -- Hermiticity, relative to the largest entry magnitude.
@@ -15,6 +22,7 @@ Tolerances are stated once here and reused by all other modules:
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -227,17 +235,30 @@ def is_compatible(a: PseudoObservable, b: PseudoObservable,
 # projector and dyad bases
 # ---------------------------------------------------------------------------
 
+def _check_orthonormal(frame: np.ndarray) -> None:
+    """Gram certificate ||frame^dagger frame - 1|| <= TOL_RECON."""
+    gram = opnorm(frame.conj().T @ frame - np.eye(frame.shape[0]))
+    if gram > TOL_RECON:
+        raise AlgebraError(f"frame is not orthonormal: residual {gram:.3e}")
+
+
 class ProjectorBasis:
     """Complete family of mutually exclusive orthogonal projectors.
 
-    Validates on construction: each element Hermitian and idempotent, pairwise
-    products vanish, and the family sums to the identity.  Builders that hold
-    an orthonormal frame (eigenvector columns, Fourier columns) should use
-    :meth:`from_frame`, where one Gram check certifies all invariants without
-    the O(m^2 d^3) product sweep.
+    Two storages share one interface (``len``, indexing, iteration, ``dim``,
+    ``ranks``, ``is_elementary``, ``labels``):
+
+    * ``ProjectorBasis(projectors)`` keeps the given matrices and validates
+      them on construction: each Hermitian and idempotent, pairwise products
+      vanish, and the family sums to the identity.
+    * :meth:`from_frame` keeps an orthonormal frame and its column block
+      sizes, O(d^2) memory.  Projector ``j`` is ``B_j B_j^dagger`` over block
+      ``j``; indexing builds only that one, as a validated
+      :class:`Observable`, and iteration builds them one at a time.
+      ``len``, ``ranks`` and ``is_elementary`` read the block sizes.
     """
 
-    __slots__ = ("projectors", "labels")
+    __slots__ = ("labels", "_projectors", "_frame", "_block_sizes")
 
     def __init__(self, projectors: Sequence[PseudoObservable],
                  labels: Sequence[float] | None = None):
@@ -246,7 +267,9 @@ class ProjectorBasis:
         if not projs:
             raise AlgebraError("a projector basis needs at least one projector")
         labels = _coerce_labels(labels, len(projs))
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "_projectors", projs)
+        object.__setattr__(self, "_frame", None)
+        object.__setattr__(self, "_block_sizes", None)
         object.__setattr__(self, "labels", labels)
         self._validate(projs[0].dim)
 
@@ -256,32 +279,38 @@ class ProjectorBasis:
     @classmethod
     def from_frame(cls, frame: np.ndarray, block_sizes: Sequence[int],
                    labels: Sequence[float] | None = None) -> "ProjectorBasis":
-        """Build projectors from consecutive column blocks of a unitary frame.
+        """Projector basis over consecutive column blocks of a unitary frame.
 
         ``||frame^dagger frame - 1||`` bounds every basis residual (products,
-        idempotence, closure), so only that one check is run.
+        idempotence, closure), so only that one check is run.  The frame is
+        stored (copied unless already read-only) and no projector is built.
         """
         frame = np.asarray(frame, dtype=complex)
+        if frame.flags.writeable:
+            frame = _frozen(frame.copy())
         d = frame.shape[0]
         if frame.shape != (d, d) or sum(block_sizes) != d:
             raise AlgebraError("frame must be square with blocks covering all columns")
-        gram = opnorm(frame.conj().T @ frame - np.eye(d))
-        if gram > TOL_RECON:
-            raise AlgebraError(f"frame is not orthonormal: residual {gram:.3e}")
-        projs = []
-        start = 0
-        for size in block_sizes:
-            block = frame[:, start:start + size]
-            projs.append(Observable(block @ block.conj().T))
-            start += size
+        if any(size < 1 for size in block_sizes):
+            raise AlgebraError("block sizes must be positive")
+        _check_orthonormal(frame)
+        return cls._over_frame(frame, block_sizes, labels)
+
+    @classmethod
+    def _over_frame(cls, frame: np.ndarray, block_sizes: Sequence[int],
+                    labels: Sequence[float] | None) -> "ProjectorBasis":
+        """Wrap a read-only frame whose Gram certificate the caller has checked."""
+        sizes = tuple(int(s) for s in block_sizes)
         self = object.__new__(cls)
-        object.__setattr__(self, "projectors", tuple(projs))
-        object.__setattr__(self, "labels", _coerce_labels(labels, len(projs)))
+        object.__setattr__(self, "_projectors", None)
+        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "_block_sizes", sizes)
+        object.__setattr__(self, "labels", _coerce_labels(labels, len(sizes)))
         return self
 
     def _validate(self, dim: int) -> None:
-        stack = np.stack([p.entries for p in self.projectors])
-        if any(p.dim != dim for p in self.projectors):
+        stack = np.stack([p.entries for p in self._projectors])
+        if any(p.dim != dim for p in self._projectors):
             raise DimensionMismatch("projectors of mixed dimensions")
         herm = max(hermiticity_defect(e) for e in stack)
         if herm > TOL_HERM:
@@ -300,25 +329,44 @@ class ProjectorBasis:
         if excl > TOL_RECON:
             raise AlgebraError(f"projectors not mutually exclusive: {excl:.3e}")
 
+    def _combine(self, values: Sequence[Scalar]) -> np.ndarray:
+        """sum_j values[j] I_j as a dense matrix."""
+        if self._frame is not None:
+            return _spectral_apply(self._frame, values, self._block_sizes)
+        return sum(complex(v) * p.entries for v, p in zip(values, self._projectors))
+
     def __len__(self) -> int:
-        return len(self.projectors)
+        if self._frame is not None:
+            return len(self._block_sizes)
+        return len(self._projectors)
 
     def __iter__(self):
-        return iter(self.projectors)
+        return (self[j] for j in range(len(self)))
 
     def __getitem__(self, j: int) -> PseudoObservable:
-        return self.projectors[j]
+        if self._frame is None:
+            return self._projectors[j]
+        j = range(len(self._block_sizes))[operator.index(j)]
+        start = sum(self._block_sizes[:j])
+        block = self._frame[:, start:start + self._block_sizes[j]]
+        return Observable(block @ block.conj().T)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].dim
+        if self._frame is not None:
+            return self._frame.shape[0]
+        return self._projectors[0].dim
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(int(round(trace(p).real)) for p in self.projectors)
+        if self._frame is not None:
+            return self._block_sizes
+        return tuple(int(round(trace(p).real)) for p in self._projectors)
 
     def is_elementary(self, tol: float = TOL_RECON) -> bool:
         """All projectors rank one."""
-        return all(abs(trace(p) - 1.0) <= tol for p in self.projectors)
+        if self._frame is not None:
+            return all(s == 1 for s in self._block_sizes)
+        return all(abs(trace(p) - 1.0) <= tol for p in self._projectors)
 
 
 class SpectralDecomposition:
@@ -344,17 +392,23 @@ class SpectralDecomposition:
         raise AttributeError("SpectralDecomposition is immutable")
 
     def reconstruct(self) -> Observable:
-        acc = sum(a * p.entries for a, p in zip(self.eigenvalues, self.basis))
-        return Observable(acc)
+        return Observable(self.basis._combine(self.eigenvalues))
 
 
-def spectral_decompose(a: PseudoObservable,
-                       grouping_tol: float = GROUPING_TOL) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian element into distinct spectral terms.
+def _spectral_apply(frame: np.ndarray, values, mults) -> np.ndarray:
+    """(V * repeat(values, mults)) @ V^dagger: one value per column cluster."""
+    return (frame * np.repeat(np.asarray(values), mults)) @ frame.conj().T
 
-    Eigenvalues within ``grouping_tol * max(1, spectral radius)`` of each other
-    belong to one term; the projector of a multiple eigenvalue spans its whole
-    eigenvector cluster.
+
+def _spectral_frame(a: PseudoObservable, grouping_tol: float = GROUPING_TOL):
+    """The spectral kernel: one validated eigendecomposition of a Hermitian element.
+
+    Returns ``(frame, means, mults)``: the eigenvector frame (read-only), the
+    mean of each eigenvalue cluster and the cluster sizes.  Eigenvalues within
+    ``grouping_tol * max(1, spectral radius)`` of their neighbour share a
+    cluster.  Certifies the input's Hermiticity, the frame's Gram residual
+    ``||V^dagger V - 1|| <= TOL_RECON`` and the reconstruction residual
+    ``||sum_j a_j I_j - A|| <= TOL_RECON * max(1, radius)``.
     """
     obs = as_observable(a)
     try:
@@ -363,20 +417,31 @@ def spectral_decompose(a: PseudoObservable,
         raise AlgebraError(f"eigensolver failed: {exc}") from exc
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     gap = grouping_tol * max(1.0, radius)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[clusters[-1][-1]] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    eigs = [float(np.mean(w[idx])) for idx in clusters]
-    mults = [len(idx) for idx in clusters]
-    basis = ProjectorBasis.from_frame(v, mults, labels=eigs)
-    decomp = SpectralDecomposition(eigs, basis, mults)
-    recon = decomp.reconstruct().distance(obs)
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > gap)
+    mults = np.diff(np.append(starts, len(w)))
+    means = w[starts]
+    for j in np.flatnonzero(mults > 1):
+        means[j] = np.mean(w[starts[j]:starts[j] + mults[j]])
+    _check_orthonormal(v)
+    recon = opnorm(_spectral_apply(v, means, mults) - obs.entries)
     if recon > TOL_RECON * max(1.0, radius):
         raise AlgebraError(f"spectral reconstruction residual {recon:.3e}")
-    return decomp
+    return _frozen(v), means, mults
+
+
+def spectral_decompose(a: PseudoObservable,
+                       grouping_tol: float = GROUPING_TOL) -> SpectralDecomposition:
+    """Eigendecompose a Hermitian element into distinct spectral terms.
+
+    Eigenvalues within ``grouping_tol * max(1, spectral radius)`` of each other
+    belong to one term; the projector of a multiple eigenvalue spans its whole
+    eigenvector cluster.  The basis is frame-backed (see
+    :class:`ProjectorBasis`), so no projector is built until it is indexed.
+    """
+    frame, means, mults = _spectral_frame(a, grouping_tol)
+    eigs = means.tolist()
+    basis = ProjectorBasis._over_frame(frame, mults, labels=eigs)
+    return SpectralDecomposition(eigs, basis, mults)
 
 
 FunctionLike = Union[Callable[[float], complex], Mapping[float, complex],
@@ -406,19 +471,23 @@ def _function_values(f: FunctionLike, eigenvalues: Sequence[float],
 
 def apply_function(f: FunctionLike, a: PseudoObservable,
                    grouping_tol: float = GROUPING_TOL) -> PseudoObservable:
-    """f(A) = sum_j f(a_j) I_j via the spectral decomposition of A.
+    """f(A) = sum_j f(a_j) I_j by spectral calculus.
 
-    ``f`` may be a callable on reals or tabulated (eigenvalue, value) pairs.
-    Returns an :class:`Observable` when the result is Hermitian (real-valued
-    ``f``), otherwise a plain element (e.g. complex phases).
+    One pass of the spectral kernel (one ``eigh``, certified) gives the
+    frame V and the cluster means a_j; the result is
+    ``(V * repeat(f(a_j), multiplicity)) @ V^dagger`` and no projector is
+    built.  ``f`` is evaluated once per cluster, at its mean, whether it is a
+    callable on reals or tabulated (eigenvalue, value) pairs; for a callable
+    this differs from evaluating at each raw eigenvalue by at most
+    ``|f'| * grouping_tol * max(1, radius)``.  Returns an :class:`Observable`
+    when the result is Hermitian (real-valued ``f``), otherwise a plain
+    element (e.g. complex phases).
     """
-    decomp = spectral_decompose(a, grouping_tol)
-    radius = max((abs(x) for x in decomp.eigenvalues), default=0.0)
-    values = _function_values(f, decomp.eigenvalues, grouping_tol * max(1.0, radius))
-    acc = np.zeros((a.dim, a.dim), dtype=complex)
-    for val, proj in zip(values, decomp.basis):
-        acc += val * proj.entries
-    return _wrap_like(acc, a)
+    frame, means, mults = _spectral_frame(a, grouping_tol)
+    eigs = means.tolist()
+    radius = max((abs(x) for x in eigs), default=0.0)
+    values = _function_values(f, eigs, grouping_tol * max(1.0, radius))
+    return _wrap_like(_spectral_apply(frame, values, mults), a)
 
 
 class DyadBasis:

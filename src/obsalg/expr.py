@@ -404,14 +404,12 @@ def _eval(node: Node, ctx: EvalContext):
                     f"spectral function {node.func!r} requires a Hermitian "
                     f"argument (defect {defect:.3e})")
             return apply_function(f, PseudoObservable(arg)).entries
-        return _scalar_fn(node.func, complex(arg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(f(complex(arg)))
+        if not cmath.isfinite(value):
+            raise ExprEvalError(f"{node.func}({arg!r}) is not finite")
+        return value
     raise ExprEvalError(f"cannot evaluate node {node!r}")
-
-
-def _scalar_fn(name: str, value: complex) -> complex:
-    table = {"cos": cmath.cos, "sin": cmath.sin, "exp": cmath.exp,
-             "expi": lambda x: cmath.exp(1j * x)}
-    return complex(table[name](value))
 
 
 def _promote_pair(left, right, dim: int):

@@ -28,6 +28,8 @@ from .core import (
     Observable,
     ProjectorBasis,
     PseudoObservable,
+    _spectral_apply,
+    _spectral_frame,
     apply_function,
     as_observable,
     commutator,
@@ -147,11 +149,10 @@ def from_unitary(w: PseudoObservable,
     if defect > TOL_RECON:
         raise AlgebraError(f"not unitary: ||W^dagger W - 1|| = {defect:.3e}")
     thetas, vectors = _joint_phases(w, grouping_tol)
-    g = np.zeros((w.dim, w.dim), dtype=complex)
+    reps = np.empty(w.dim)  # one representative phase per column
     for cluster in _cluster_phases(thetas, grouping_tol):
-        block = vectors[:, cluster]
-        rep = _fold_phase(float(np.angle(np.mean(np.exp(1j * thetas[cluster])))))
-        g += rep * (block @ block.conj().T)
+        reps[cluster] = _fold_phase(float(np.angle(np.mean(np.exp(1j * thetas[cluster])))))
+    g = (vectors * reps) @ vectors.conj().T
     return Transformation(w, Observable(g))
 
 
@@ -161,13 +162,9 @@ def from_generatrix(g: PseudoObservable) -> Transformation:
     Spectrum outside the principal branch is folded into (-pi, pi]; the
     induced unitary is unchanged by the fold.
     """
-    obs = as_observable(g)
-    decomp = spectral_decompose(obs)
-    folded = np.zeros((obs.dim, obs.dim), dtype=complex)
-    w = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for lam, proj in zip(decomp.eigenvalues, decomp.basis):
-        folded += _fold_phase(lam) * proj.entries
-        w += cmath.exp(1j * lam) * proj.entries
+    frame, means, mults = _spectral_frame(g)
+    folded = _spectral_apply(frame, [_fold_phase(lam) for lam in means], mults)
+    w = _spectral_apply(frame, [cmath.exp(1j * lam) for lam in means], mults)
     return Transformation(PseudoObservable(w), Observable(folded))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ def test_pair_on_rotated_frame(rng):
     pair = make_canonical_pair(q, hbar=1.0)
     assert pair.exponential_consistency() < 1e-10
     assert opnorm(np.linalg.matrix_power(pair.s.entries, 8) - np.eye(8)) < 1e-10
+
+
+def test_canonical_pair_memory_is_quadratic_in_dim():
+    # at d = 512 one complex d x d matrix is 4 MiB; a dense projector per
+    # level would need 2 GiB, so the bound allows 16 matrices
+    d = 512
+    tracemalloc.start()
+    try:
+        pair = make_canonical_pair(make_position(d // 2, 1 / 16))
+        assert weyl_residual(pair).passed
+        assert conjugation_parity_check(pair).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * d * d * 16
 
 
 # --- translations ------------------------------------------------------------------

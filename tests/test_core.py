@@ -214,6 +214,60 @@ def test_function_composition(rng):
     assert inner.distance(outer) < 1e-10
 
 
+def _split_cluster_observable(rng):
+    """Hermitian matrix whose middle eigenvalue pair is split by 3e-10."""
+    u = random_unitary(rng, 5).entries
+    vals = np.array([-1.0, 0.5, 0.5 + 3e-10, 1.25, 2.0])
+    return Observable((u * vals) @ u.conj().T), u
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_apply_function_matches_projector_sum_on_split_cluster(rng, tabulated):
+    a, u = _split_cluster_observable(rng)
+    dec = spectral_decompose(a)
+    assert dec.multiplicities == (1, 2, 1, 1)
+    cluster = u[:, 1:3] @ u[:, 1:3].conj().T
+    assert opnorm(dec.basis[1].entries - cluster) < 1e-10
+    if tabulated:
+        f = {-1.0: 3.0, 0.5: -2.0 + 0.5j, 1.25: 0.75, 2.0: 0.25}
+        values = [f[min(f, key=lambda x: abs(x - lam))] for lam in dec.eigenvalues]
+    else:
+        f = lambda x: cmath.exp(1j * x) + x ** 3
+        values = [f(lam) for lam in dec.eigenvalues]
+    expected = sum(v * p.entries for v, p in zip(values, list(dec.basis)))
+    assert opnorm(apply_function(f, a).entries - expected) < 1e-12
+
+
+def test_spectral_basis_element_is_dense_block_projector(rng):
+    a, _ = _split_cluster_observable(rng)
+    dec = spectral_decompose(a)
+    _, v = np.linalg.eigh(a.entries)
+    start = 0
+    for j, size in enumerate(dec.multiplicities):
+        block = v[:, start:start + size]
+        proj = dec.basis[j]
+        assert isinstance(proj, Observable)
+        assert opnorm(proj.entries - block @ block.conj().T) < 1e-12
+        start += size
+    assert len(list(dec.basis)) == len(dec.multiplicities)
+
+
+def test_frame_basis_metadata_builds_no_projector(rng, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a projector was materialized")
+
+    u = random_unitary(rng, 6).entries
+    basis = ProjectorBasis.from_frame(u, [1, 2, 1, 1, 1])
+    monkeypatch.setattr(ProjectorBasis, "__getitem__", forbidden)
+    monkeypatch.setattr(ProjectorBasis, "__iter__", forbidden)
+    assert len(basis) == 5
+    assert basis.dim == 6
+    assert basis.ranks() == (1, 2, 1, 1, 1)
+    assert not basis.is_elementary()
+    assert ProjectorBasis.from_frame(u, [1] * 6).is_elementary()
+    assert not hasattr(basis, "projectors")
+
+
 # --- commutators ------------------------------------------------------------
 
 def test_commutator_self_is_zero(rng):

@@ -147,6 +147,22 @@ def test_spectral_function_rejects_non_hermitian(osc_ctx):
         evaluate(parse("cos(i*Q)"), ctx)
 
 
+def test_scalar_spectral_functions_match_cmath(osc_ctx):
+    import cmath
+    ctx, _ = osc_ctx
+    for name, ref in (("cos", cmath.cos), ("sin", cmath.sin), ("exp", cmath.exp),
+                      ("expi", lambda x: cmath.exp(1j * x))):
+        for x in (0.0, 0.7, -2.5, 31.0):
+            out = evaluate(parse(f"{name}(t)*Q"), ctx.with_t(x))
+            assert out.distance(ref(x) * ctx.operators["Q"]) == 0.0
+
+
+def test_scalar_spectral_overflow_rejected(osc_ctx):
+    ctx, _ = osc_ctx
+    with pytest.raises(ExprEvalError, match="not finite"):
+        evaluate(parse("exp(1000*t)*Q"), ctx.with_t(1.0))
+
+
 def test_division_by_operator_rejected(osc_ctx):
     ctx, _ = osc_ctx
     with pytest.raises(ExprEvalError, match="operator-valued"):
