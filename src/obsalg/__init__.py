@@ -52,7 +52,6 @@ from .evolution import (
     heisenberg_residual,
     heisenberg_step,
     heisenberg_step_explicit,
-    minimal_evolution_unitary,
     reverse_step,
     schrodinger_residual,
     schrodinger_step,

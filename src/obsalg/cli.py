@@ -8,6 +8,7 @@ sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from importlib import resources
@@ -104,7 +105,6 @@ def cmd_sweep(args) -> int:
 def _convergence_rows(halvings: int) -> list[list]:
     """Residuals for the bundled Rabi and oscillator scenarios, tau halved."""
     from .evolution import (
-        EvolutionEngine,
         TimeGrid,
         heisenberg_residual,
         schrodinger_residual,
@@ -119,10 +119,8 @@ def _convergence_rows(halvings: int) -> list[list]:
         config = config_from_doc(doc, base)
         for k in range(halvings + 1):
             tau = config.grid.tau / 2 ** k
-            engine, _ = build_engine(config)
-            engine = EvolutionEngine(engine.hamiltonian,
-                                     TimeGrid(tau=tau, steps=1, t0=config.grid.t0),
-                                     config.picture, engine.pairs)
+            engine = build_engine(dataclasses.replace(
+                config, grid=TimeGrid(tau=tau, steps=1, t0=config.grid.t0)))
             probe = next(iter(config.observables_to_trace.values()))
             psi = StateVector.basis_vector(engine.dim, config.initial_state
                                            if isinstance(config.initial_state, int) else 0)

@@ -14,8 +14,10 @@ with non-commuting H(t) the two pictures' composite propagators differ at
 O(tau^2) per step pair, which the residual audits quantify.
 
 Difference-quotient residuals against the continuous equations of motion
-(Heisenberg, Schroedinger, von Neumann) are first order in tau; each
-``*_residual`` check reports the residual at tau and tau/2 and their ratio.
+(Heisenberg, Schroedinger, von Neumann) are first order in tau.  Each
+equation has one ``*_step_residual`` function giving the residual of one
+step of a given size; the trajectory trace reports it at tau, and each
+``*_residual`` check reports it at tau and tau/2 and their ratio.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .canonical import (
-    CanonicalPair,
     frame_conjugate,
     make_canonical_pair,
     make_position,
@@ -110,15 +111,14 @@ class EvolutionEngine:
     """Hamiltonian + time grid + picture; produces steps and residual audits."""
 
     def __init__(self, hamiltonian: Hamiltonian, grid: TimeGrid,
-                 picture: str = "schrodinger",
-                 pairs: Sequence[CanonicalPair] = ()):
+                 picture: str = "schrodinger"):
         if picture not in PICTURES:
             raise AlgebraError(f"picture must be one of {PICTURES}, got {picture!r}")
         self.hamiltonian = hamiltonian
         self.grid = grid
         self.picture = picture
-        self.pairs = tuple(pairs)
-        self._unitaries: dict[tuple[float, float], PseudoObservable] = {}
+        # (t, step) -> (U, its unitary defect measured when it was certified)
+        self._unitaries: dict[tuple[float, float], tuple[PseudoObservable, float]] = {}
 
     @property
     def dim(self) -> int:
@@ -128,8 +128,7 @@ class EvolutionEngine:
     def hbar(self) -> float:
         return self.hamiltonian.hbar
 
-    def unitary(self, t: float, step: float | None = None) -> PseudoObservable:
-        """U = exp(i (step/hbar) H(t)); step defaults to the grid tau."""
+    def _certified(self, t: float, step: float | None) -> tuple[PseudoObservable, float]:
         step = self.grid.tau if step is None else float(step)
         key = (float(t), step)
         if key not in self._unitaries:
@@ -138,13 +137,17 @@ class EvolutionEngine:
             defect = unitary_defect(u)
             if defect > TOL_RECON:
                 raise AlgebraError(f"evolution unitary defect {defect:.3e}")
-            self._unitaries[key] = u
+            self._unitaries[key] = (u, defect)
         return self._unitaries[key]
 
+    def unitary(self, t: float, step: float | None = None) -> PseudoObservable:
+        """U = exp(i (step/hbar) H(t)); step defaults to the grid tau."""
+        return self._certified(t, step)[0]
 
-def minimal_evolution_unitary(engine: EvolutionEngine, t: float) -> PseudoObservable:
-    """The one-step evolution unitary exp(i (tau/hbar) H(t))."""
-    return engine.unitary(t)
+    def unitary_defect(self, t: float) -> float:
+        """||U^dagger U - 1|| of the grid-step ``unitary(t)``, measured once when
+        U was certified against TOL_RECON."""
+        return self._certified(t, None)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +205,56 @@ def reverse_step(engine: EvolutionEngine, o: Observable, t: float) -> Observable
 # equation-of-motion residuals
 # ---------------------------------------------------------------------------
 
-def _halving_report(name: str, residual_at, scale: float) -> CheckReport:
-    """Evaluate a residual at tau and tau/2; first order means ratio <= 0.6."""
-    r_tau = residual_at(1.0)
-    r_half = residual_at(0.5)
+def heisenberg_step_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
+                             t: float, step: float,
+                             conjugator: np.ndarray | None = None) -> float:
+    """|| (O(t+step)-O(t))/step - [O,H]/(i hbar) - dO/dt || for one step.
+
+    O(t) = V O_bare(t) V^dagger is read through the conjugator V accumulated
+    over the steps taken so far (the identity by default), and
+    O(t+step) = U V O_bare(t+step) V^dagger U^dagger.
+    """
+    node = parse(o_expr) if isinstance(o_expr, str) else o_expr
+    ctx = engine.hamiltonian.ctx
+    v = np.eye(engine.dim, dtype=complex) if conjugator is None else conjugator
+    v_dag = v.conj().T
+    h_t = engine.hamiltonian.evaluate(t).entries
+    u = engine.unitary(t, step).entries
+    o_now = v @ evaluate(node, ctx.with_t(t)).entries @ v_dag
+    o_next = u @ (v @ evaluate(node, ctx.with_t(t + step)).entries @ v_dag) @ u.conj().T
+    gen = (o_now @ h_t - h_t @ o_now) / (1j * engine.hbar)
+    dodt = v @ explicit_time_derivative(node, ctx.with_t(t), h=step / 64).entries @ v_dag
+    return opnorm((o_next - o_now) / step - gen - dodt)
+
+
+def schrodinger_step_residual(engine: EvolutionEngine, psi: StateVector, t: float,
+                              step: float) -> float:
+    """|| (Psi(t+step)-Psi(t))/step + (i/hbar) H Psi || for one step."""
+    h_t = engine.hamiltonian.evaluate(t).entries
+    u = engine.unitary(t, step).entries
+    ahead = u.conj().T @ psi.amplitudes
+    return float(np.linalg.norm((ahead - psi.amplitudes) / step
+                                + (1j / engine.hbar) * (h_t @ psi.amplitudes)))
+
+
+def von_neumann_step_residual(engine: EvolutionEngine, d: DensityObservable, t: float,
+                              step: float) -> float:
+    """|| (D(t+step)-D(t))/step - [H,D]/(i hbar) || for one step.
+
+    With D(t+step) = U^dagger D U the discrete generator is (1/(i hbar))[H,D],
+    the right-hand side of i hbar dD/dt = [H,D].
+    """
+    h_t = engine.hamiltonian.evaluate(t).entries
+    u = engine.unitary(t, step).entries
+    rho = d.matrix.entries
+    gen = (h_t @ rho - rho @ h_t) / (1j * engine.hbar)
+    return opnorm((u.conj().T @ rho @ u - rho) / step - gen)
+
+
+def _halving_report(name: str, residual_at, tau: float, scale: float) -> CheckReport:
+    """Evaluate a step residual at tau and tau/2; first order means ratio <= 0.6."""
+    r_tau = residual_at(tau)
+    r_half = residual_at(tau / 2)
     floor = 1e-12 * max(1.0, scale)
     if r_tau <= floor:
         ratio, passed = 0.0, True
@@ -231,65 +280,35 @@ def _warn_if_coarse(engine: EvolutionEngine, t: float) -> None:
 
 def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
                         t: float) -> CheckReport:
-    """|| (O(t+tau)-O(t))/tau - [O,H]/(i hbar) - dO/dt ||, at tau and tau/2."""
+    """:func:`heisenberg_step_residual` of O at tau and tau/2."""
     _warn_if_coarse(engine, t)
     node = parse(o_expr) if isinstance(o_expr, str) else o_expr
-    ctx = engine.hamiltonian.ctx
-    hbar, tau = engine.hbar, engine.grid.tau
-    h_t = engine.hamiltonian.evaluate(t)
-    o_t = evaluate(node, ctx.with_t(t))
-    gen = commutator(o_t, h_t) / (1j * hbar)
-
-    def residual_at(fraction: float) -> float:
-        step = tau * fraction
-        u = engine.unitary(t, step).entries
-        advanced = evaluate(node, ctx.with_t(t + step)).entries
-        o_next = u @ advanced @ u.conj().T
-        dodt = explicit_time_derivative(node, ctx.with_t(t), h=step / 64)
-        lhs = (o_next - o_t.entries) / step
-        return opnorm(lhs - gen.entries - dodt.entries)
-
-    scale = max(1.0, o_t.norm()) * max(1.0, h_t.norm())
-    return _halving_report("heisenberg_residual", residual_at, scale)
+    o_t = evaluate(node, engine.hamiltonian.ctx.with_t(t))
+    scale = max(1.0, o_t.norm()) * max(1.0, engine.hamiltonian.evaluate(t).norm())
+    return _halving_report(
+        "heisenberg_residual",
+        lambda step: heisenberg_step_residual(engine, node, t, step),
+        engine.grid.tau, scale)
 
 
 def schrodinger_residual(engine: EvolutionEngine, psi: StateVector,
                          t: float) -> CheckReport:
-    """|| (Psi(t+tau)-Psi(t))/tau + (i/hbar) H Psi ||, at tau and tau/2."""
+    """:func:`schrodinger_step_residual` of Psi at tau and tau/2."""
     _warn_if_coarse(engine, t)
-    h_t = engine.hamiltonian.evaluate(t)
-    hbar, tau = engine.hbar, engine.grid.tau
-    target = (1j / hbar) * (h_t.entries @ psi.amplitudes)
-
-    def residual_at(fraction: float) -> float:
-        step = tau * fraction
-        u = engine.unitary(t, step).entries
-        ahead = u.conj().T @ psi.amplitudes
-        return float(np.linalg.norm((ahead - psi.amplitudes) / step + target))
-
-    return _halving_report("schrodinger_residual", residual_at, max(1.0, h_t.norm()))
+    return _halving_report(
+        "schrodinger_residual",
+        lambda step: schrodinger_step_residual(engine, psi, t, step),
+        engine.grid.tau, max(1.0, engine.hamiltonian.evaluate(t).norm()))
 
 
 def von_neumann_residual(engine: EvolutionEngine, d: DensityObservable,
                          t: float) -> CheckReport:
-    """|| (D(t+tau)-D(t))/tau - [H,D]/(i hbar) ||, at tau and tau/2.
-
-    With D(t+tau) = U^dagger D U the discrete generator is (1/(i hbar))[H,D],
-    the right-hand side of i hbar dD/dt = [H,D].
-    """
+    """:func:`von_neumann_step_residual` of D at tau and tau/2."""
     _warn_if_coarse(engine, t)
-    h_t = engine.hamiltonian.evaluate(t)
-    hbar, tau = engine.hbar, engine.grid.tau
-    gen = commutator(h_t, d.matrix) / (1j * hbar)
-
-    def residual_at(fraction: float) -> float:
-        step = tau * fraction
-        u = engine.unitary(t, step).entries
-        ahead = u.conj().T @ d.matrix.entries @ u
-        return opnorm((ahead - d.matrix.entries) / step - gen.entries)
-
-    return _halving_report("von_neumann_residual", residual_at,
-                           max(1.0, h_t.norm()))
+    return _halving_report(
+        "von_neumann_residual",
+        lambda step: von_neumann_step_residual(engine, d, t, step),
+        engine.grid.tau, max(1.0, engine.hamiltonian.evaluate(t).norm()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from obsalg.evolution import (
     heisenberg_residual,
     heisenberg_step,
     heisenberg_step_explicit,
-    minimal_evolution_unitary,
     reverse_step,
     schrodinger_residual,
     schrodinger_step,
@@ -50,8 +49,7 @@ def oscillator_engine(tau=0.002, steps=50, n=16, eps=0.25):
                       operators={"Q": pair.q.observable, "P": pair.p},
                       constants={"m": 1.0, "omega": 1.0})
     h = Hamiltonian("P^2/(2*m) + (m*omega^2/2)*Q^2", ctx)
-    return EvolutionEngine(h, TimeGrid(tau=tau, steps=steps), "schrodinger",
-                           pairs=(pair,)), pair
+    return EvolutionEngine(h, TimeGrid(tau=tau, steps=steps), "schrodinger"), pair
 
 
 def zero_engine(dim=4, tau=0.1, steps=10):
@@ -62,20 +60,20 @@ def zero_engine(dim=4, tau=0.1, steps=10):
 # --- minimal evolution unitary -------------------------------------------------
 
 def test_zero_hamiltonian_gives_identity():
-    u = minimal_evolution_unitary(zero_engine(), 0.0)
+    u = zero_engine().unitary(0.0)
     assert opnorm(u.entries - np.eye(4)) < 1e-12
 
 
 def test_identity_hamiltonian_gives_scalar_phase():
     ctx = EvalContext(dim=3)
     engine = EvolutionEngine(Hamiltonian("1", ctx), TimeGrid(tau=1.0, steps=1))
-    u = minimal_evolution_unitary(engine, 0.0)
+    u = engine.unitary(0.0)
     assert opnorm(u.entries - np.exp(1j) * np.eye(3)) < 1e-12
 
 
 def test_unitary_matches_power_series_oracle():
     engine = rabi_engine(tau=0.1)
-    u = minimal_evolution_unitary(engine, 0.0)
+    u = engine.unitary(0.0)
     h = 0.5 * SX
     term = np.eye(2, dtype=complex)
     series = np.eye(2, dtype=complex)

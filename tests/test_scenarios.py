@@ -8,7 +8,8 @@ import pytest
 from obsalg.audit import run_audit
 from obsalg.cli import main
 from obsalg.scenarios import config_from_doc, run_scenario
-from obsalg.serialize import SchemaError
+from obsalg.serialize import SchemaError, matrix_to_doc, vector_to_doc
+from obsalg.states import StateVector, pure_density
 
 
 def minimal_doc(**overrides):
@@ -128,6 +129,57 @@ def test_abscissa_demo_translates_by_tau_each_step():
     result = run_scenario(config_from_doc(doc))
     t_event = result.column("t_event")
     assert t_event == pytest.approx([2.0, 2.5, 3.0, 3.5, -4.0], abs=1e-9)  # wraps at top
+
+
+# --- initial states from files -----------------------------------------------------------
+
+PSI_AMPLITUDES = [[0.6, 0.0], [0.0, 0.8]]  # 0.6|0> + 0.8i|1>
+
+
+def write_state_files(tmp_path):
+    """psi as a vector document and |psi><psi| as a matrix document."""
+    psi = StateVector([complex(*a) for a in PSI_AMPLITUDES])
+    (tmp_path / "psi.json").write_text(json.dumps(vector_to_doc(psi)))
+    (tmp_path / "rho.json").write_text(json.dumps(matrix_to_doc(pure_density(psi).matrix)))
+
+
+@pytest.mark.parametrize("picture", ["schrodinger", "heisenberg"])
+@pytest.mark.parametrize("ref", [{"vector_file": "psi.json"}, {"density_file": "rho.json"}])
+def test_file_initial_state_matches_amplitude_list(tmp_path, picture, ref):
+    write_state_files(tmp_path)
+    # <SY> is odd under complex conjugation of the state, so it catches a
+    # loader that conjugates psi or rho; <SX> and <SZ> alone would not
+    operators = {**rabi_doc()["operators"],
+                 "SY": {"dim": 2, "entries": [[0, 0], [0, -1], [0, 1], [0, 0]]}}
+    observables = {"sz": "SZ", "sx": "SX", "sy": "SY"}
+    common = dict(picture=picture, grid={"tau": 0.05, "steps": 40},
+                  operators=operators, observables_to_trace=observables)
+    listed = run_scenario(config_from_doc(rabi_doc(**common,
+                                                   initial_state=PSI_AMPLITUDES)))
+    from_file = run_scenario(config_from_doc(rabi_doc(**common, initial_state=ref)),
+                             tmp_path)
+    assert from_file.all_pass, [c.name for c in from_file.checks if not c.passed]
+    for name in observables:
+        for a, b in zip(from_file.column(name), listed.column(name)):
+            assert abs(a - b) <= 1e-12
+
+
+@pytest.mark.parametrize("check, picture, initial_state", [
+    ("heisenberg_residual", "heisenberg", PSI_AMPLITUDES),
+    ("schrodinger_residual", "schrodinger", PSI_AMPLITUDES),
+    ("von_neumann_residual", "schrodinger", {"density_file": "rho.json"}),
+])
+def test_trace_residual_is_the_checks_residual_at_tau(tmp_path, check, picture,
+                                                      initial_state):
+    write_state_files(tmp_path)
+    result = run_scenario(config_from_doc(rabi_doc(
+        picture=picture, grid={"tau": 0.05, "steps": 4},
+        observables_to_trace={"sz": "SZ"}, initial_state=initial_state)), tmp_path)
+    report = next(c for c in result.checks if c.name == check)
+    traced = result.column("equation_residual")[0]
+    at_tau = report.residuals["residual_tau"]
+    assert at_tau > 0
+    assert abs(traced - at_tau) <= 1e-15 * at_tau
 
 
 # --- determinism -------------------------------------------------------------------------
