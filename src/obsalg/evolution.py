@@ -77,9 +77,12 @@ class TimeGrid:
 
 
 class Hamiltonian:
-    """An observable-valued expression for H, evaluated per grid time.
+    """An observable-valued expression for H, and the memo of expression values.
 
-    Evaluations are cached by time; every evaluation is validated Hermitian.
+    Every expression evaluated in H's context (H itself, traced observables)
+    goes through :meth:`value`: one that does not reference ``t`` is
+    evaluated once, one that does keeps only its value at the latest t.  H is
+    validated Hermitian when it is evaluated.
     """
 
     def __init__(self, expr: ObservableExpr | str, ctx: EvalContext,
@@ -89,26 +92,36 @@ class Hamiltonian:
         self.hbar = float(hbar)
         if not self.hbar > 0:
             raise AlgebraError(f"hbar must be positive, got {hbar}")
-        self._cache: dict[float, Observable] = {}
+        self.time_dependent = references_time(self.expr)
+        # node -> (t of the value, or None when node does not reference t; value)
+        self._values: dict[ObservableExpr, tuple[float | None, PseudoObservable]] = {}
 
     @property
     def dim(self) -> int:
         return self.ctx.dim
 
-    @property
-    def time_dependent(self) -> bool:
-        return references_time(self.expr)
+    def value(self, node: ObservableExpr, t: float) -> PseudoObservable:
+        """``node`` evaluated at time t in H's context, memoized."""
+        entry = self._values.get(node)
+        if entry is None or entry[0] not in (None, t):
+            t = float(t)
+            timed = entry is not None or references_time(node)
+            entry = (t if timed else None, evaluate(node, self.ctx.with_t(t)))
+            self._values[node] = entry
+        return entry[1]
 
     def evaluate(self, t: float) -> Observable:
-        key = float(t)
-        if key not in self._cache:
-            value = evaluate(self.expr, self.ctx.with_t(key))
-            self._cache[key] = as_observable(value)
-        return self._cache[key]
+        """H(t), validated Hermitian."""
+        return as_observable(self.value(self.expr, t))
 
 
 class EvolutionEngine:
-    """Hamiltonian + time grid + picture; produces steps and residual audits."""
+    """Hamiltonian + time grid + picture; produces steps and residual audits.
+
+    Step unitaries are cached by step size: for a constant H once per run,
+    for a time-dependent H only at the latest t (the left-point rule visits
+    each t once), so memory stays flat in the step count.
+    """
 
     def __init__(self, hamiltonian: Hamiltonian, grid: TimeGrid,
                  picture: str = "schrodinger"):
@@ -117,8 +130,11 @@ class EvolutionEngine:
         self.hamiltonian = hamiltonian
         self.grid = grid
         self.picture = picture
-        # (t, step) -> (U, its unitary defect measured when it was certified)
-        self._unitaries: dict[tuple[float, float], tuple[PseudoObservable, float]] = {}
+        # step -> certified U, all at time _unitaries_t (None for a constant H)
+        self._unitaries: dict[float, PseudoObservable] = {}
+        self._unitaries_t: float | None = None
+        # largest ||U^dagger U - 1|| over the grid-step unitaries certified so far
+        self.max_grid_defect = 0.0
 
     @property
     def dim(self) -> int:
@@ -128,26 +144,24 @@ class EvolutionEngine:
     def hbar(self) -> float:
         return self.hamiltonian.hbar
 
-    def _certified(self, t: float, step: float | None) -> tuple[PseudoObservable, float]:
+    def unitary(self, t: float, step: float | None = None) -> PseudoObservable:
+        """U = exp(i (step/hbar) H(t)); step defaults to the grid tau.
+
+        Every U is certified against TOL_RECON when it is computed.
+        """
         step = self.grid.tau if step is None else float(step)
-        key = (float(t), step)
-        if key not in self._unitaries:
-            h = self.hamiltonian.evaluate(t)
-            u = unitary_exponential((step / self.hbar) * h)
+        if self.hamiltonian.time_dependent and t != self._unitaries_t:
+            self._unitaries.clear()
+            self._unitaries_t = float(t)
+        if step not in self._unitaries:
+            u = unitary_exponential((step / self.hbar) * self.hamiltonian.evaluate(t))
             defect = unitary_defect(u)
             if defect > TOL_RECON:
                 raise AlgebraError(f"evolution unitary defect {defect:.3e}")
-            self._unitaries[key] = (u, defect)
-        return self._unitaries[key]
-
-    def unitary(self, t: float, step: float | None = None) -> PseudoObservable:
-        """U = exp(i (step/hbar) H(t)); step defaults to the grid tau."""
-        return self._certified(t, step)[0]
-
-    def unitary_defect(self, t: float) -> float:
-        """||U^dagger U - 1|| of the grid-step ``unitary(t)``, measured once when
-        U was certified against TOL_RECON."""
-        return self._certified(t, None)[1]
+            if step == self.grid.tau:
+                self.max_grid_defect = max(self.max_grid_defect, defect)
+            self._unitaries[step] = u
+        return self._unitaries[step]
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +226,22 @@ def heisenberg_step_residual(engine: EvolutionEngine, o_expr: ObservableExpr | s
 
     O(t) = V O_bare(t) V^dagger is read through the conjugator V accumulated
     over the steps taken so far (the identity by default), and
-    O(t+step) = U V O_bare(t+step) V^dagger U^dagger.
+    O(t+step) = U V O_bare(t+step) V^dagger U^dagger.  O_bare comes from the
+    Hamiltonian's memo; when it does not reference t, O_bare(t+step) is
+    O_bare(t) and dO/dt is exactly 0, so that term is left out.
     """
     node = parse(o_expr) if isinstance(o_expr, str) else o_expr
-    ctx = engine.hamiltonian.ctx
+    ham = engine.hamiltonian
     v = np.eye(engine.dim, dtype=complex) if conjugator is None else conjugator
     v_dag = v.conj().T
-    h_t = engine.hamiltonian.evaluate(t).entries
+    h_t = ham.evaluate(t).entries
     u = engine.unitary(t, step).entries
-    o_now = v @ evaluate(node, ctx.with_t(t)).entries @ v_dag
-    o_next = u @ (v @ evaluate(node, ctx.with_t(t + step)).entries @ v_dag) @ u.conj().T
+    o_now = v @ ham.value(node, t).entries @ v_dag
     gen = (o_now @ h_t - h_t @ o_now) / (1j * engine.hbar)
-    dodt = v @ explicit_time_derivative(node, ctx.with_t(t), h=step / 64).entries @ v_dag
+    if not references_time(node):
+        return opnorm((u @ o_now @ u.conj().T - o_now) / step - gen)
+    o_next = u @ (v @ ham.value(node, t + step).entries @ v_dag) @ u.conj().T
+    dodt = v @ explicit_time_derivative(node, ham.ctx.with_t(t), h=step / 64).entries @ v_dag
     return opnorm((o_next - o_now) / step - gen - dodt)
 
 
@@ -283,7 +301,7 @@ def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
     """:func:`heisenberg_step_residual` of O at tau and tau/2."""
     _warn_if_coarse(engine, t)
     node = parse(o_expr) if isinstance(o_expr, str) else o_expr
-    o_t = evaluate(node, engine.hamiltonian.ctx.with_t(t))
+    o_t = engine.hamiltonian.value(node, t)
     scale = max(1.0, o_t.norm()) * max(1.0, engine.hamiltonian.evaluate(t).norm())
     return _halving_report(
         "heisenberg_residual",

@@ -9,6 +9,9 @@ randomized audit, and all numeric output is formatted reproducibly.
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -33,7 +36,7 @@ from .evolution import (
     von_neumann_step,
     von_neumann_step_residual,
 )
-from .expr import EvalContext, ExprSyntaxError, evaluate, parse
+from .expr import EvalContext, ExprSyntaxError, parse
 from .rand import random_hermitian
 from .report import CheckReport
 from .serialize import SchemaError, load_json, matrix_from_doc, vector_from_doc
@@ -44,6 +47,9 @@ from .states import (
     pure_density,
     vector_expectation,
 )
+
+
+_NAME = re.compile(r"[A-Za-z0-9_.-]{1,100}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +74,45 @@ def _check_type(value, types, path: str, what: str):
     return value
 
 
+def _number(value, path: str, positive: bool = False) -> float:
+    """A finite JSON number (never a bool), positive when asked."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(path, f"number out of range: {value}") from None
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {number}")
+    # subnormal values are too coarse to step with (tau/2 may round to 0)
+    if positive and not number >= sys.float_info.min:
+        raise SchemaError(path, f"must be a positive normal float, got {number}")
+    return number
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    """A JSON integer (never a bool or a float) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise SchemaError(path, f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _name(value) -> str:
+    """The scenario name, which prefixes the output file names."""
+    name = _check_type(value, str, "config.name", "a string")
+    if not _NAME.fullmatch(name):
+        raise SchemaError("config.name", "expected 1 to 100 of the characters "
+                                         "A-Z a-z 0-9 _ . -")
+    return name
+
+
 def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     """Validate a scenario document; errors carry field paths."""
     base = Path(base_dir)
     _check_type(doc, dict, "config", "an object")
-    name = _check_type(doc.get("name", "scenario"), str, "config.name", "a string")
+    name = _name(doc.get("name", "scenario"))
     source = _check_type(_require_field(doc, "hamiltonian"), str,
                          "config.hamiltonian", "an expression string")
     try:
@@ -84,24 +124,29 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     for key in ("tau", "steps"):
         if key not in grid_doc:
             raise SchemaError(f"config.grid.{key}", "missing required field")
-    try:
-        grid = TimeGrid(tau=float(grid_doc["tau"]), steps=int(grid_doc["steps"]),
-                        t0=float(grid_doc.get("t0", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("config.grid", str(exc)) from exc
+    grid = TimeGrid(tau=_number(grid_doc["tau"], "config.grid.tau", positive=True),
+                    steps=_integer(grid_doc["steps"], "config.grid.steps", 1),
+                    t0=_number(grid_doc.get("t0", 0.0), "config.grid.t0"))
 
     picture = doc.get("picture", "schrodinger")
     if picture not in ("schrodinger", "heisenberg"):
         raise SchemaError("config.picture",
                           f"expected 'schrodinger' or 'heisenberg', got {picture!r}")
 
+    hbar = _number(doc.get("hbar", 1.0), "config.hbar", positive=True)
     n = doc.get("n")
     epsilon = doc.get("epsilon")
     if (n is None) != (epsilon is None):
         raise SchemaError("config.n", "n and epsilon must be given together")
     if n is not None:
-        n = _check_type(n, int, "config.n", "an integer")
-        epsilon = float(_check_type(epsilon, (int, float), "config.epsilon", "a number"))
+        n = _integer(n, "config.n", 2)
+        epsilon = _number(epsilon, "config.epsilon", positive=True)
+        # the canonical pair's spectra reach n*epsilon (Q) and pi*hbar/epsilon
+        # (P), and its shift is exp(i (epsilon/hbar) P)
+        if not all(sys.float_info.min <= scale < math.inf for scale in
+                   (n * epsilon, math.pi * hbar / epsilon, epsilon / hbar)):
+            raise SchemaError("config.epsilon", "n*epsilon, pi*hbar/epsilon and "
+                                                "epsilon/hbar must be normal floats")
 
     operators: dict[str, PseudoObservable] = {}
     for opname, opdoc in _check_type(doc.get("operators", {}), dict,
@@ -115,8 +160,7 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     constants = {}
     for cname, cval in _check_type(doc.get("constants", {}), dict,
                                    "config.constants", "an object").items():
-        constants[cname] = float(_check_type(
-            cval, (int, float), f"config.constants.{cname}", "a number"))
+        constants[cname] = _number(cval, f"config.constants.{cname}")
 
     traces = {}
     for tname, tsrc in _check_type(doc.get("observables_to_trace", {}), dict,
@@ -131,10 +175,10 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
 
     return ScenarioConfig(
         name=name, hamiltonian=source, grid=grid, picture=picture,
-        hbar=float(doc.get("hbar", 1.0)), n=n, epsilon=epsilon,
-        operators=operators, constants=constants,
+        hbar=hbar, n=n, epsilon=epsilon, operators=operators, constants=constants,
         initial_state=doc.get("initial_state", 0),
-        observables_to_trace=traces, seed=int(doc.get("seed", 0)))
+        observables_to_trace=traces,
+        seed=_integer(doc.get("seed", 0), "config.seed", 0))
 
 
 def _require_field(doc: dict, key: str):
@@ -162,6 +206,17 @@ def build_engine(config: ScenarioConfig) -> EvolutionEngine:
     constants.setdefault("hbar", config.hbar)
     ctx = EvalContext(dim=dim, operators=operators, constants=constants)
     hamiltonian = Hamiltonian(config.hamiltonian, ctx, config.hbar)
+    # H(t0) and the step generator must be finite (checked here, so overflow
+    # is not also warned about); an expression that fails to evaluate stays
+    # a runtime failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = hamiltonian.evaluate(config.grid.t0).entries
+        generator = (config.grid.tau / config.hbar) * h0
+    if not np.isfinite(h0).all():
+        raise SchemaError("config.hamiltonian", "H(t0) has non-finite entries")
+    if not np.isfinite(generator).all():
+        raise SchemaError("config.grid.tau", "the step generator (tau/hbar) H(t0) "
+                                             "has non-finite entries")
     return EvolutionEngine(hamiltonian, config.grid, config.picture)
 
 
@@ -179,35 +234,33 @@ def _initial_state(config: ScenarioConfig, dim: int,
     if isinstance(spec, list):
         amps = []
         for idx, item in enumerate(spec):
-            if isinstance(item, (list, tuple)) and len(item) == 2:
-                amps.append(complex(item[0], item[1]))
-            elif isinstance(item, (int, float)):
-                amps.append(complex(item))
-            else:
-                raise SchemaError(f"config.initial_state[{idx}]",
-                                  "expected a number or [re, im] pair")
+            path = f"config.initial_state[{idx}]"
+            parts = item if isinstance(item, list) and len(item) == 2 else [item, 0.0]
+            amps.append(complex(*(_number(x, path) for x in parts)))
         arr = np.array(amps, dtype=complex)
         norm = np.linalg.norm(arr)
         if norm == 0:
             raise SchemaError("config.initial_state", "zero amplitude vector")
+        if not math.isfinite(norm):
+            raise SchemaError("config.initial_state", "amplitude vector norm overflows")
         psi = StateVector(arr / norm)
         if psi.dim != dim:
             raise SchemaError("config.initial_state",
                               f"length {psi.dim} does not match dim {dim}")
         return psi
     if isinstance(spec, dict) and "density_file" in spec:
-        doc = load_json(Path(base_dir) / spec["density_file"])
-        matrix = matrix_from_doc(doc, "config.initial_state.density_file")
+        path = "config.initial_state.density_file"
+        ref = _check_type(spec["density_file"], str, path, "a file path")
+        matrix = matrix_from_doc(load_json(Path(base_dir) / ref), path)
         if matrix.dim != dim:
-            raise SchemaError("config.initial_state.density_file",
-                              f"dim {matrix.dim} does not match scenario dim {dim}")
+            raise SchemaError(path, f"dim {matrix.dim} does not match scenario dim {dim}")
         return DensityObservable(as_observable(matrix))
     if isinstance(spec, dict) and "vector_file" in spec:
-        psi = vector_from_doc(load_json(Path(base_dir) / spec["vector_file"]),
-                              "config.initial_state.vector_file")
+        path = "config.initial_state.vector_file"
+        ref = _check_type(spec["vector_file"], str, path, "a file path")
+        psi = vector_from_doc(load_json(Path(base_dir) / ref), path)
         if psi.dim != dim:
-            raise SchemaError("config.initial_state.vector_file",
-                              f"dim {psi.dim} does not match scenario dim {dim}")
+            raise SchemaError(path, f"dim {psi.dim} does not match scenario dim {dim}")
         return psi
     raise SchemaError("config.initial_state",
                       "expected a basis index, an amplitude list, or a file reference")
@@ -249,16 +302,19 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     picture it is the maximum over the traced observables.
     """
     engine = build_engine(config)
-    ctx = engine.hamiltonian.ctx
+    ham = engine.hamiltonian
     initial = _initial_state(config, engine.dim, base_dir)
     traced = {name: parse(src) for name, src in config.observables_to_trace.items()}
 
     header = ["step", "t", *traced.keys(), "equation_residual", "state_drift"]
     rows: list[list[float]] = []
-    time_dep = engine.hamiltonian.time_dependent
+    time_dep = ham.time_dependent
     tau = engine.grid.tau
-    h0 = engine.hamiltonian.evaluate(engine.grid.t0)
+    h0 = ham.evaluate(engine.grid.t0)
     energy_series: list[float] = []
+    # a traced copy of H reads H's own memo entry, so its column is the energy
+    energy_column = next((i for i, node in enumerate(traced.values())
+                          if node == ham.expr), None)
 
     state = initial
     # Heisenberg-picture V_m: the state stays fixed and O is read as V_m O V_m^dagger
@@ -267,10 +323,11 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
 
     for step, t in enumerate(engine.grid.times()):
         t = float(t)
-        expectations = [_expect(state, evaluate(node, ctx.with_t(t)), conjugator)
+        expectations = [_expect(state, ham.value(node, t), conjugator)
                         for node in traced.values()]
         if not time_dep:
-            energy_series.append(_expect(state, h0, conjugator))
+            energy_series.append(_expect(state, h0, conjugator) if energy_column is None
+                                 else expectations[energy_column])
 
         if step == engine.grid.steps:
             rows.append([step, t, *expectations, 0.0, _state_drift(state)])
@@ -312,7 +369,7 @@ def _scenario_checks(config: ScenarioConfig, engine: EvolutionEngine,
                      initial: StateVector | DensityObservable,
                      energy_series: list[float]) -> list[CheckReport]:
     t0 = engine.grid.t0
-    unitary_worst = max(engine.unitary_defect(float(t)) for t in engine.grid.times()[:-1])
+    unitary_worst = engine.max_grid_defect
     checks = [CheckReport(
         name="unitarity_along_grid",
         passed=unitary_worst <= 1e-9,

@@ -1,0 +1,108 @@
+"""Scenario config validation at the CLI boundary: typed fields and fuzzing."""
+
+import contextlib
+import io
+import json
+import traceback
+from importlib import resources
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from obsalg.cli import main
+
+
+def free_particle_doc() -> dict:
+    return json.loads(resources.files("obsalg.data").joinpath("free_particle.json")
+                      .read_text())
+
+
+DELETE = object()
+
+
+def edited(doc: dict, field: str, value) -> dict:
+    """``doc`` with a dotted ``field`` set to ``value``, or removed for DELETE."""
+    *parents, key = field.split(".")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    if value is DELETE:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hbar", "x"),
+    ("seed", "abc"),
+    ("hbar", -1),
+    ("n", -3),
+    ("n", True),
+    ("grid.steps", 2.7),
+    ("grid.tau", "inf"),
+])
+def test_mistyped_field_is_a_validation_error(tmp_path, capsys, field, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(edited(free_particle_doc(), field, value)))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert f"config.{field}" in capsys.readouterr().err
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``obsalg``; an uncaught exception exits 1 with a
+    traceback, as the interpreter would report it."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except Exception:
+            code = 1
+            err.write(traceback.format_exc())
+    return code, err.getvalue()
+
+
+_NUMBERS = st.one_of(st.integers(), st.floats(),
+                     st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=8))
+_OR_DELETE = st.just(DELETE)
+
+# d = 2n <= 4 and at most 5 steps: n and grid.steps draw no larger integers.
+# Constants are bindings of the expressions: one that makes H fail to evaluate
+# (m = 0 in P^2/(2*m)) is a runtime failure, exit 3, like an unbound name.
+SCALAR_FIELDS = {
+    "name": st.one_of(_SCALARS, st.text(), _OR_DELETE),
+    "picture": st.one_of(st.sampled_from(["schrodinger", "heisenberg"]), _SCALARS,
+                         _OR_DELETE),
+    "hbar": st.one_of(_SCALARS, _OR_DELETE),
+    "n": st.one_of(st.integers(max_value=2), st.none(), st.booleans(), st.floats(),
+                   st.text(max_size=8), _OR_DELETE),
+    "epsilon": st.one_of(_SCALARS, _OR_DELETE),
+    "seed": st.one_of(_SCALARS, _OR_DELETE),
+    "initial_state": st.one_of(_SCALARS, _OR_DELETE),
+    "grid.tau": st.one_of(_SCALARS, _OR_DELETE),
+    "grid.steps": st.one_of(st.integers(max_value=5), st.none(), st.booleans(),
+                            st.floats(), st.text(max_size=8), _OR_DELETE),
+    "grid.t0": st.one_of(_SCALARS, _OR_DELETE),
+}
+
+mutations = st.lists(st.sampled_from(sorted(SCALAR_FIELDS)), unique=True, min_size=1,
+                     max_size=3).flatmap(
+    lambda fields: st.fixed_dictionaries({f: SCALAR_FIELDS[f] for f in fields}))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutations)
+def test_fuzzed_scalar_fields_never_crash(tmp_path_factory, mutation):
+    doc = free_particle_doc()
+    doc["n"], doc["initial_state"], doc["grid"]["steps"] = 2, 0, 5
+    for field, value in mutation.items():
+        edited(doc, field, value)
+    workdir = tmp_path_factory.mktemp("fuzz")
+    path = workdir / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(workdir)])
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err

@@ -395,3 +395,32 @@ def test_temporal_abscissa_wrap_and_defect():
     # top slot wraps to the window floor -n*tau
     assert report.details["translated_labels"][-1] == pytest.approx(-8 * 0.25)
     assert report.details["expected_defect_norm"] == pytest.approx(2 * 8 * 0.25)
+
+
+# --- bounded caches ------------------------------------------------------------------------------
+
+def test_time_dependent_memory_is_flat_in_step_count():
+    import tracemalloc
+
+    from obsalg.evolution import schrodinger_step_residual
+
+    def retained_after(steps: int) -> int:
+        pair = make_canonical_pair(make_position(16, 0.25))
+        ctx = EvalContext(dim=pair.dim,
+                          operators={"Q": pair.q.observable, "P": pair.p},
+                          constants={"F": 0.5, "nu": 0.9})
+        h = Hamiltonian("P^2/2 + Q^2/2 + F*cos(nu*t)*Q", ctx)
+        engine = EvolutionEngine(h, TimeGrid(tau=0.002, steps=steps))
+        psi = StateVector.basis_vector(pair.dim, 16)
+        tracemalloc.start()
+        try:
+            for t in engine.grid.times()[:-1]:
+                schrodinger_step_residual(engine, psi, float(t), engine.grid.tau)
+                psi = schrodinger_step(engine, psi, float(t))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert engine.max_grid_defect <= 1e-9
+        return retained
+
+    assert abs(retained_after(2000) - retained_after(200)) <= 2 ** 20

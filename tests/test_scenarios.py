@@ -253,3 +253,28 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("OBSALG_OUTDIR", str(tmp_path / "envout"))
     assert main(["run", "rabi"]) == 0
     assert (tmp_path / "envout" / "rabi_trace.csv").exists()
+
+
+# --- caches -------------------------------------------------------------------------------
+
+def test_constant_hamiltonian_is_diagonalized_once_per_step_size(monkeypatch):
+    from obsalg import core
+    from obsalg.cli import _resolve_config
+
+    calls = []
+    eigh = core.np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(core.np.linalg, "eigh", counting_eigh)
+    doc, base = _resolve_config("oscillator")
+    counts = []
+    for steps in (20, 200):
+        calls.clear()
+        doc["grid"]["steps"] = steps
+        result = run_scenario(config_from_doc(doc, base), base)
+        assert result.all_pass
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
