@@ -235,43 +235,59 @@ def is_compatible(a: PseudoObservable, b: PseudoObservable,
 # projector and dyad bases
 # ---------------------------------------------------------------------------
 
-def _check_orthonormal(frame: np.ndarray) -> None:
+def _check_orthonormal(frame: np.ndarray,
+                       failure: str = "frame is not orthonormal") -> None:
     """Gram certificate ||frame^dagger frame - 1|| <= TOL_RECON."""
     gram = opnorm(frame.conj().T @ frame - np.eye(frame.shape[0]))
     if gram > TOL_RECON:
-        raise AlgebraError(f"frame is not orthonormal: residual {gram:.3e}")
+        raise AlgebraError(f"{failure}: residual {gram:.3e}")
 
 
 class ProjectorBasis:
-    """Complete family of mutually exclusive orthogonal projectors.
+    """Complete family of mutually exclusive, nonzero orthogonal projectors.
 
-    Two storages share one interface (``len``, indexing, iteration, ``dim``,
-    ``ranks``, ``is_elementary``, ``labels``):
+    Stored as an orthonormal frame and its column block sizes, O(d^2) memory.
+    Projector ``j`` is ``B_j B_j^dagger`` over block ``j``; indexing builds
+    only that one, as a validated :class:`Observable`, and iteration builds
+    them one at a time.  ``len``, ``ranks`` and ``is_elementary`` read the
+    block sizes.  :meth:`from_frame` takes the frame directly.
 
-    * ``ProjectorBasis(projectors)`` keeps the given matrices and validates
-      them on construction: each Hermitian and idempotent, pairwise products
-      vanish, and the family sums to the identity.
-    * :meth:`from_frame` keeps an orthonormal frame and its column block
-      sizes, O(d^2) memory.  Projector ``j`` is ``B_j B_j^dagger`` over block
-      ``j``; indexing builds only that one, as a validated
-      :class:`Observable`, and iteration builds them one at a time.
-      ``len``, ``ranks`` and ``is_elementary`` read the block sizes.
+    ``ProjectorBasis(projectors)`` certifies each matrix Hermitian and
+    idempotent and takes the eigenvectors of its eigenvalues above 1/2 as its
+    block, so ``basis[j]`` equals the given projector up to those two
+    residuals.  The Gram certificate of the stacked frame bounds closure and
+    exclusivity, since ``||P_j P_k|| = ||B_j^dagger B_k||``.
     """
 
-    __slots__ = ("labels", "_projectors", "_frame", "_block_sizes")
+    __slots__ = ("labels", "_frame", "_block_sizes")
 
     def __init__(self, projectors: Sequence[PseudoObservable],
                  labels: Sequence[float] | None = None):
-        projs = tuple(p if isinstance(p, PseudoObservable) else PseudoObservable(p)
-                      for p in projectors)
+        projs = [p if isinstance(p, PseudoObservable) else PseudoObservable(p)
+                 for p in projectors]
         if not projs:
             raise AlgebraError("a projector basis needs at least one projector")
-        labels = _coerce_labels(labels, len(projs))
-        object.__setattr__(self, "_projectors", projs)
-        object.__setattr__(self, "_frame", None)
-        object.__setattr__(self, "_block_sizes", None)
-        object.__setattr__(self, "labels", labels)
-        self._validate(projs[0].dim)
+        dim = projs[0].dim
+        if any(p.dim != dim for p in projs):
+            raise DimensionMismatch("projectors of mixed dimensions")
+        herm = max(hermiticity_defect(p.entries) for p in projs)
+        if herm > TOL_HERM:
+            raise AlgebraError(f"projector not Hermitian: defect {herm:.3e}")
+        idem, blocks = 0.0, []
+        for p in projs:
+            w, v = np.linalg.eigh(p.entries)
+            idem = max(idem, float(np.max(np.abs(w * w - w))))  # = ||P^2 - P||
+            blocks.append(v[:, w > 0.5])
+        if idem > TOL_RECON:
+            raise AlgebraError(f"projector not idempotent: residual {idem:.3e}")
+        sizes = [b.shape[1] for b in blocks]
+        if sum(sizes) != dim:
+            raise AlgebraError(
+                f"projectors do not close to identity: ranks sum to {sum(sizes)}, not {dim}")
+        frame = _frozen(np.hstack(blocks))
+        _check_orthonormal(frame, "projectors do not close to identity "
+                                  "as a mutually exclusive family")
+        self._hold(frame, sizes, labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectorBasis is immutable")
@@ -291,8 +307,6 @@ class ProjectorBasis:
         d = frame.shape[0]
         if frame.shape != (d, d) or sum(block_sizes) != d:
             raise AlgebraError("frame must be square with blocks covering all columns")
-        if any(size < 1 for size in block_sizes):
-            raise AlgebraError("block sizes must be positive")
         _check_orthonormal(frame)
         return cls._over_frame(frame, block_sizes, labels)
 
@@ -300,52 +314,27 @@ class ProjectorBasis:
     def _over_frame(cls, frame: np.ndarray, block_sizes: Sequence[int],
                     labels: Sequence[float] | None) -> "ProjectorBasis":
         """Wrap a read-only frame whose Gram certificate the caller has checked."""
-        sizes = tuple(int(s) for s in block_sizes)
         self = object.__new__(cls)
-        object.__setattr__(self, "_projectors", None)
+        self._hold(frame, block_sizes, labels)
+        return self
+
+    def _hold(self, frame: np.ndarray, block_sizes: Sequence[int],
+              labels: Sequence[float] | None) -> None:
+        """Store a certified frame and its block sizes; no block may be empty."""
+        sizes = tuple(int(s) for s in block_sizes)
+        if any(size < 1 for size in sizes):
+            raise AlgebraError("block sizes must be positive: a basis has no zero projector")
         object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_block_sizes", sizes)
         object.__setattr__(self, "labels", _coerce_labels(labels, len(sizes)))
-        return self
-
-    def _validate(self, dim: int) -> None:
-        stack = np.stack([p.entries for p in self._projectors])
-        if any(p.dim != dim for p in self._projectors):
-            raise DimensionMismatch("projectors of mixed dimensions")
-        herm = max(hermiticity_defect(e) for e in stack)
-        if herm > TOL_HERM:
-            raise AlgebraError(f"projector not Hermitian: defect {herm:.3e}")
-        idem = max(opnorm(e @ e - e) for e in stack)
-        if idem > TOL_RECON:
-            raise AlgebraError(f"projector not idempotent: residual {idem:.3e}")
-        closure = opnorm(stack.sum(axis=0) - np.eye(dim))
-        if closure > TOL_RECON:
-            raise AlgebraError(f"projectors do not close to identity: {closure:.3e}")
-        excl = 0.0
-        for j in range(len(stack)):  # chunked pairwise products, one j at a time
-            prods = stack[j] @ stack
-            prods[j] = 0.0
-            excl = max(excl, float(np.max(np.linalg.norm(prods, axis=(1, 2)))))
-        if excl > TOL_RECON:
-            raise AlgebraError(f"projectors not mutually exclusive: {excl:.3e}")
-
-    def _combine(self, values: Sequence[Scalar]) -> np.ndarray:
-        """sum_j values[j] I_j as a dense matrix."""
-        if self._frame is not None:
-            return _spectral_apply(self._frame, values, self._block_sizes)
-        return sum(complex(v) * p.entries for v, p in zip(values, self._projectors))
 
     def __len__(self) -> int:
-        if self._frame is not None:
-            return len(self._block_sizes)
-        return len(self._projectors)
+        return len(self._block_sizes)
 
     def __iter__(self):
         return (self[j] for j in range(len(self)))
 
-    def __getitem__(self, j: int) -> PseudoObservable:
-        if self._frame is None:
-            return self._projectors[j]
+    def __getitem__(self, j: int) -> Observable:
         j = range(len(self._block_sizes))[operator.index(j)]
         start = sum(self._block_sizes[:j])
         block = self._frame[:, start:start + self._block_sizes[j]]
@@ -353,20 +342,14 @@ class ProjectorBasis:
 
     @property
     def dim(self) -> int:
-        if self._frame is not None:
-            return self._frame.shape[0]
-        return self._projectors[0].dim
+        return self._frame.shape[0]
 
     def ranks(self) -> tuple[int, ...]:
-        if self._frame is not None:
-            return self._block_sizes
-        return tuple(int(round(trace(p).real)) for p in self._projectors)
+        return self._block_sizes
 
-    def is_elementary(self, tol: float = TOL_RECON) -> bool:
+    def is_elementary(self) -> bool:
         """All projectors rank one."""
-        if self._frame is not None:
-            return all(s == 1 for s in self._block_sizes)
-        return all(abs(trace(p) - 1.0) <= tol for p in self._projectors)
+        return all(s == 1 for s in self._block_sizes)
 
 
 class SpectralDecomposition:
@@ -392,7 +375,8 @@ class SpectralDecomposition:
         raise AttributeError("SpectralDecomposition is immutable")
 
     def reconstruct(self) -> Observable:
-        return Observable(self.basis._combine(self.eigenvalues))
+        basis = self.basis
+        return Observable(_spectral_apply(basis._frame, self.eigenvalues, basis.ranks()))
 
 
 def _spectral_apply(frame: np.ndarray, values, mults) -> np.ndarray:
@@ -524,17 +508,18 @@ class DyadBasis:
         return self.base.dim
 
     def _validate(self) -> None:
-        m = len(self.base)
+        base = list(self.base)  # a frame-backed base builds each projector on indexing
+        m = len(base)
         scale = max(1.0, max(d.norm() for row in self.dyads for d in row))
         for j in range(m):
-            if self.dyads[j][j].distance(self.base[j]) > TOL_RECON * scale:
+            if self.dyads[j][j].distance(base[j]) > TOL_RECON * scale:
                 raise AlgebraError(f"Gamma[{j}][{j}] differs from base projector")
         for j in range(m):
             for k in range(m):
                 g = self.dyads[j][k]
                 if g.dagger().distance(self.dyads[k][j]) > TOL_RECON * scale:
                     raise AlgebraError(f"Gamma[{j}][{k}]^dagger != Gamma[{k}][{j}]")
-                flank = self.base[j].entries @ g.entries @ self.base[k].entries
+                flank = base[j].entries @ g.entries @ base[k].entries
                 if opnorm(flank - g.entries) > TOL_RECON * scale:
                     raise AlgebraError(f"Gamma[{j}][{k}] not flanked by its projectors")
         for j in range(m):
@@ -563,7 +548,8 @@ def dyad_basis_from(base: ProjectorBasis, cores: CoresLike) -> DyadBasis:
     """
     if not base.is_elementary():
         raise AlgebraError("dyad bases require an elementary (rank-1) projector basis")
-    m = len(base)
+    projs = [p.entries for p in base]  # built once, not once per pair
+    m = len(projs)
 
     def core_at(j: int, k: int) -> np.ndarray:
         if isinstance(cores, PseudoObservable):
@@ -578,7 +564,7 @@ def dyad_basis_from(base: ProjectorBasis, cores: CoresLike) -> DyadBasis:
     for j in range(m):
         row = []
         for k in range(m):
-            sandwich = base[j].entries @ core_at(j, k) @ base[k].entries
+            sandwich = projs[j] @ core_at(j, k) @ projs[k]
             nrm = float(np.linalg.norm(sandwich))
             if nrm <= 1e-12 * max(1.0, float(np.linalg.norm(core_at(j, k)))):
                 raise AlgebraError(

@@ -231,15 +231,21 @@ def heisenberg_step_residual(engine: EvolutionEngine, o_expr: ObservableExpr | s
     O_bare(t) and dO/dt is exactly 0, so that term is left out.
     """
     node = parse(o_expr) if isinstance(o_expr, str) else o_expr
-    ham = engine.hamiltonian
     v = np.eye(engine.dim, dtype=complex) if conjugator is None else conjugator
-    v_dag = v.conj().T
+    o_now = v @ engine.hamiltonian.value(node, t).entries @ v.conj().T
+    return _heisenberg_step_residual(engine, node, t, step, v, o_now)
+
+
+def _heisenberg_step_residual(engine: EvolutionEngine, node: ObservableExpr, t: float,
+                              step: float, v: np.ndarray, o_now: np.ndarray) -> float:
+    """:func:`heisenberg_step_residual` with O(t) = V O_bare(t) V^dagger given."""
+    ham = engine.hamiltonian
     h_t = ham.evaluate(t).entries
     u = engine.unitary(t, step).entries
-    o_now = v @ ham.value(node, t).entries @ v_dag
     gen = (o_now @ h_t - h_t @ o_now) / (1j * engine.hbar)
     if not references_time(node):
         return opnorm((u @ o_now @ u.conj().T - o_now) / step - gen)
+    v_dag = v.conj().T
     o_next = u @ (v @ ham.value(node, t + step).entries @ v_dag) @ u.conj().T
     dodt = v @ explicit_time_derivative(node, ham.ctx.with_t(t), h=step / 64).entries @ v_dag
     return opnorm((o_next - o_now) / step - gen - dodt)

@@ -26,9 +26,9 @@ from .evolution import (
     EvolutionEngine,
     Hamiltonian,
     TimeGrid,
+    _heisenberg_step_residual,
     heisenberg_residual,
     heisenberg_step,
-    heisenberg_step_residual,
     schrodinger_residual,
     schrodinger_step,
     schrodinger_step_residual,
@@ -317,25 +317,27 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
                           if node == ham.expr), None)
 
     state = initial
+    expect = vector_expectation if isinstance(state, StateVector) else expectation
     # Heisenberg-picture V_m: the state stays fixed and O is read as V_m O V_m^dagger
     conjugator = (np.eye(engine.dim, dtype=complex)
                   if config.picture == "heisenberg" else None)
 
     for step, t in enumerate(engine.grid.times()):
         t = float(t)
-        expectations = [_expect(state, ham.value(node, t), conjugator)
-                        for node in traced.values()]
+        read = [_read(ham.value(node, t), conjugator) for node in traced.values()]
+        expectations = [expect(state, o).real for o in read]
         if not time_dep:
-            energy_series.append(_expect(state, h0, conjugator) if energy_column is None
-                                 else expectations[energy_column])
+            energy_series.append(expect(state, _read(h0, conjugator)).real
+                                 if energy_column is None else expectations[energy_column])
 
         if step == engine.grid.steps:
             rows.append([step, t, *expectations, 0.0, _state_drift(state)])
             break
 
         if conjugator is not None:
-            residual = max((heisenberg_step_residual(engine, node, t, tau, conjugator)
-                            for node in traced.values()), default=0.0)
+            residual = max((_heisenberg_step_residual(engine, node, t, tau, conjugator,
+                                                      o.entries)
+                            for node, o in zip(traced.values(), read)), default=0.0)
             conjugator = engine.unitary(t).entries @ conjugator
         elif isinstance(state, StateVector):
             residual = schrodinger_step_residual(engine, state, t, tau)
@@ -349,14 +351,11 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     return ScenarioResult(config, header, rows, checks)
 
 
-def _expect(state: StateVector | DensityObservable, o: PseudoObservable,
-            conjugator: np.ndarray | None) -> float:
-    """Real part of <O>, with O read as V O V^dagger when a conjugator is given."""
-    if conjugator is not None:
-        o = PseudoObservable(conjugator @ o.entries @ conjugator.conj().T)
-    if isinstance(state, StateVector):
-        return vector_expectation(state, o).real
-    return expectation(state, o).real
+def _read(o: PseudoObservable, conjugator: np.ndarray | None) -> PseudoObservable:
+    """O, or V O V^dagger when a Heisenberg conjugator V is given."""
+    if conjugator is None:
+        return o
+    return PseudoObservable(conjugator @ o.entries @ conjugator.conj().T)
 
 
 def _state_drift(state: StateVector | DensityObservable) -> float:

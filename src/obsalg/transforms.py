@@ -187,12 +187,17 @@ def compose(t1: Transformation, t2: Transformation) -> Transformation:
 
 
 def transform_basis(t: Transformation, basis):
-    """Transport a projector or dyad basis; output revalidates all invariants."""
+    """Transport a projector or dyad basis: I_j -> W I_j W^dagger.
+
+    A projector basis moves as its frame, W V with the same blocks and labels,
+    under the Gram certificate of :meth:`ProjectorBasis.from_frame`; no
+    projector is built.  Dyads are moved by :func:`apply` and revalidated.
+    """
     if isinstance(basis, ProjectorBasis):
-        return ProjectorBasis([apply(t, p) for p in basis], labels=basis.labels)
+        return ProjectorBasis.from_frame(t.w.entries @ basis._frame, basis.ranks(),
+                                         basis.labels)
     if isinstance(basis, DyadBasis):
-        new_base = ProjectorBasis([apply(t, p) for p in basis.base],
-                                  labels=basis.base.labels)
+        new_base = transform_basis(t, basis.base)
         rows = [[apply(t, basis[j, k]) for k in range(len(new_base))]
                 for j in range(len(new_base))]
         return DyadBasis(rows, new_base)

@@ -303,6 +303,40 @@ def test_projector_basis_rejects_non_idempotent():
                         Observable(np.diag([0.5, 1.0]))])
 
 
+@pytest.mark.parametrize("projectors, error, match", [
+    ([np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])],
+     AlgebraError, "not Hermitian"),
+    ([np.diag([0.5, 0.0]), np.diag([0.5, 1.0])], AlgebraError, "idempotent"),
+    ([np.diag([1.0, 0.0])], AlgebraError, "close to identity"),
+    ([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)], AlgebraError, "close to identity"),
+    ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(3)], DimensionMismatch, "mixed"),
+    ([np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+     AlgebraError, "zero projector"),
+], ids=["non_hermitian", "non_idempotent", "incomplete", "overlapping",
+        "mixed_dims", "zero_projector"])
+def test_projector_basis_constructor_contract(projectors, error, match):
+    with pytest.raises(error, match=match):
+        ProjectorBasis(projectors)
+
+
+def test_zero_block_rejected_by_from_frame():
+    with pytest.raises(AlgebraError, match="zero projector"):
+        ProjectorBasis.from_frame(np.eye(2), [0, 2])
+
+
+def test_explicit_basis_is_frame_backed(rng):
+    u = random_unitary(rng, 6).entries
+    projs = [Observable(u[:, :2] @ u[:, :2].conj().T, unit_tag="m")]
+    projs += [Observable(np.outer(u[:, j], u[:, j].conj())) for j in range(2, 6)]
+    basis = ProjectorBasis(projs, labels=range(5))
+    assert basis.ranks() == (2, 1, 1, 1, 1)
+    assert not basis.is_elementary()
+    assert basis.labels == (0.0, 1.0, 2.0, 3.0, 4.0)
+    for p, q in zip(projs, basis):
+        assert isinstance(q, Observable) and q.unit_tag is None
+        assert opnorm(p.entries - q.entries) < 1e-12
+
+
 def test_transformed_coordinate_basis_validates(rng):
     u = random_unitary(rng, 5).entries
     projs = [Observable(np.outer(u[:, j], u[:, j].conj())) for j in range(5)]

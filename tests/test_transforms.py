@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from obsalg.canonical import make_canonical_pair, make_position
 from obsalg.core import (
     AlgebraError,
     Observable,
@@ -221,6 +223,42 @@ def test_transform_dyad_basis(rng):
     out = transform_basis(t, dy)
     for j in range(3):
         assert out[j, j].distance(apply(t, basis[j])) < 1e-10
+
+
+def _spectral_basis_with_repeat(rng, d):
+    u = random_unitary(rng, d).entries
+    vals = np.linspace(-1.0, 1.0, d)
+    vals[1] = vals[0]  # one repeated eigenvalue
+    return spectral_decompose(Observable((u * vals) @ u.conj().T)).basis
+
+
+def test_transform_basis_transports_frame(rng):
+    t = from_unitary(random_unitary(rng, 16))
+    spectral = _spectral_basis_with_repeat(rng, 16)
+    assert spectral.ranks()[0] == 2
+    coordinate = make_canonical_pair(make_position(8, 0.5)).q.basis
+    for basis in (spectral, coordinate):
+        out = transform_basis(t, basis)
+        assert out.ranks() == basis.ranks()
+        assert out.labels == basis.labels
+        for j in range(len(basis)):
+            assert opnorm(out[j].entries - apply(t, basis[j]).entries) <= 1e-12
+
+
+def test_transform_basis_memory_is_quadratic_in_dim(rng):
+    # one complex d x d matrix is 1 MiB at d = 256; a dense projector per
+    # level would need 256 of them, so the bound allows 16
+    d = 256
+    basis = _spectral_basis_with_repeat(rng, d)
+    t = from_unitary(random_unitary(rng, d))
+    tracemalloc.start()
+    try:
+        out = transform_basis(t, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.ranks() == basis.ranks()
+    assert peak <= 16 * d * d * 16
 
 
 # --- invariance ---------------------------------------------------------------
