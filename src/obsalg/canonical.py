@@ -4,7 +4,7 @@ A coordinate with resolution ``epsilon`` carries exactly ``2n`` levels
 ``{j epsilon : j = -n..n-1}``, so the cyclic shift group is Z_{2n} and
 ``S^{2n} = 1`` holds exactly.  The conjugate momentum lives on the discrete
 Fourier vectors ``f_k(j) = (2n)^{-1/2} exp(i pi k j / n)`` with eigenvalues
-``p_k = k pi hbar / (n epsilon)``, ``k = -n..n-1``.
+``p_k = k (pi hbar / (n epsilon))``, ``k = -n..n-1``, by the position's rule.
 
 Finite dimension obstructs the canonical commutator: ``tr [Q, P] = 0`` while
 ``tr 1 = 2n``.  The diagonal of ``[Q, P]/(i hbar)`` in the coordinate basis
@@ -33,6 +33,7 @@ from .core import (
     ProjectorBasis,
     PseudoObservable,
     _frozen,
+    _spectral_apply,
     opnorm,
 )
 from .report import CheckReport
@@ -58,35 +59,27 @@ def frame_conjugate(entries: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 
 class LinearSpectrumObservable:
-    """Observable with spectrum exactly {j epsilon : j = -n..n-1}, rank-1 basis."""
+    """Spectrum exactly {j epsilon : j = -n..n-1}: a rank-1 basis and sum_j (j epsilon) I_j."""
 
-    __slots__ = ("n", "epsilon", "observable", "basis", "frame")
+    __slots__ = ("n", "epsilon", "observable", "basis")
 
-    def __init__(self, n: int, epsilon: float, observable: Observable,
-                 basis: ProjectorBasis, frame: np.ndarray):
+    def __init__(self, n: int, epsilon: float, basis: ProjectorBasis):
         n = int(n)
         epsilon = float(epsilon)
         if n < 2:
             raise AlgebraError(f"need n >= 2, got {n}")
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise AlgebraError(f"resolution must be positive, got {epsilon}")
-        if observable.dim != 2 * n or len(basis) != 2 * n:
-            raise AlgebraError("dimension must equal the level count 2n")
+        if basis.dim != 2 * n or not basis.is_elementary():
+            raise AlgebraError("the basis must hold 2n rank-one projectors, one per level")
         labels = tuple(j * epsilon for j in range(-n, n))
         if basis.labels != labels:
             raise AlgebraError("basis labels must be exactly {j*epsilon}, ordered by j")
-        if not basis.is_elementary():
-            raise AlgebraError("all projectors must be rank one")
-        frame = np.asarray(frame, dtype=complex)
-        rebuilt = (frame * np.array(labels)) @ frame.conj().T
-        if opnorm(rebuilt - observable.entries) > TOL_RECON * max(1.0, observable.norm()):
-            raise AlgebraError("observable does not match sum_j (j epsilon) I_j")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "observable", observable)
+        object.__setattr__(self, "observable",
+                           Observable(_spectral_apply(basis.frame, labels, basis.ranks())))
         object.__setattr__(self, "basis", basis)
-        frame.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearSpectrumObservable is immutable")
@@ -104,19 +97,19 @@ class LinearSpectrumObservable:
                 f"dim={self.dim})")
 
 
+def _coordinate(n: int, epsilon: float, frame: np.ndarray) -> LinearSpectrumObservable:
+    """The coordinate whose j-th level is the j-th column of a new unitary frame."""
+    labels = [j * epsilon for j in range(-n, n)]
+    basis = ProjectorBasis.from_frame(_frozen(frame), [1] * (2 * n), labels=labels)
+    return LinearSpectrumObservable(n, epsilon, basis)
+
+
 def make_position(n: int, epsilon: float) -> LinearSpectrumObservable:
     """diag(-n eps, ..., (n-1) eps) in the coordinate basis."""
     n = int(n)
     if n < 2:
         raise AlgebraError(f"need n >= 2, got {n}")
-    if not epsilon > 0:
-        raise AlgebraError(f"resolution must be positive, got {epsilon}")
-    d = 2 * n
-    labels = [j * float(epsilon) for j in range(-n, n)]
-    frame = _frozen(np.eye(d, dtype=complex))
-    obs = Observable(np.diag(np.array(labels, dtype=complex)))
-    basis = ProjectorBasis.from_frame(frame, [1] * d, labels=labels)
-    return LinearSpectrumObservable(n, epsilon, obs, basis, frame)
+    return _coordinate(n, float(epsilon), np.eye(2 * n, dtype=complex))
 
 
 class CanonicalPair:
@@ -126,18 +119,14 @@ class CanonicalPair:
     verifies it against the spectral route exp(i (epsilon/hbar) P).
     """
 
-    __slots__ = ("q", "s", "p", "hbar", "momentum_basis", "fourier_frame")
+    __slots__ = ("q", "s", "momentum", "hbar")
 
     def __init__(self, q: LinearSpectrumObservable, s: PseudoObservable,
-                 p: Observable, hbar: float, momentum_basis: ProjectorBasis,
-                 fourier_frame: np.ndarray):
+                 momentum: LinearSpectrumObservable, hbar: float):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "momentum", momentum)
         object.__setattr__(self, "hbar", float(hbar))
-        object.__setattr__(self, "momentum_basis", momentum_basis)
-        fourier_frame.setflags(write=False)
-        object.__setattr__(self, "fourier_frame", fourier_frame)
 
     def __setattr__(self, name, value):
         raise AttributeError("CanonicalPair is immutable")
@@ -155,11 +144,15 @@ class CanonicalPair:
         return self.q.epsilon
 
     @property
+    def p(self) -> Observable:
+        return self.momentum.observable
+
+    @property
     def momentum_spectrum(self) -> tuple[float, ...]:
-        return self.momentum_basis.labels
+        return self.momentum.spectrum
 
     def momentum_resolution(self) -> float:
-        return math.pi * self.hbar / (self.n * self.epsilon)
+        return self.momentum.epsilon
 
     def exponential_consistency(self) -> float:
         """||exp(i (epsilon/hbar) P) - S||; small by construction."""
@@ -187,12 +180,10 @@ def make_canonical_pair(q: LinearSpectrumObservable, hbar: float = 1.0) -> Canon
     if not hbar > 0:
         raise AlgebraError(f"hbar must be positive, got {hbar}")
     n, d, eps = q.n, q.dim, q.epsilon
-    fourier = _frozen(q.frame @ _fourier_matrix(n))
-    p_values = [k * math.pi * hbar / (n * eps) for k in range(-n, n)]
-    momentum_basis = ProjectorBasis.from_frame(fourier, [1] * d, labels=p_values)
-    p = Observable((fourier * np.array(p_values)) @ fourier.conj().T)
-    s = PseudoObservable(q.frame @ _shift_matrix(d) @ q.frame.conj().T)
-    pair = CanonicalPair(q, s, p, hbar, momentum_basis, fourier)
+    frame = q.basis.frame
+    momentum = _coordinate(n, math.pi * hbar / (n * eps), frame @ _fourier_matrix(n))
+    s = PseudoObservable(frame @ _shift_matrix(d) @ frame.conj().T)
+    pair = CanonicalPair(q, s, momentum, hbar)
     consistency = pair.exponential_consistency()
     if consistency > TOL_RECON:
         raise AlgebraError(f"exp(i eps P / hbar) != S: residual {consistency:.3e}")
@@ -264,9 +255,8 @@ def translate(pair: CanonicalPair, delta: float) -> Observable:
     pair's frame and equals the conjugation S^s Q S^{-s} to float precision.
     """
     steps = translate_steps(pair, delta)
-    new_labels = np.array(translate_labels(pair, steps))
-    frame = pair.q.frame
-    return Observable((frame * new_labels) @ frame.conj().T)
+    new_labels = translate_labels(pair, steps)
+    return Observable(_spectral_apply(pair.q.basis.frame, new_labels, pair.q.basis.ranks()))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +277,7 @@ def _interior_probe_deviation(pair: CanonicalPair, comm_over_ihbar: np.ndarray) 
     n = pair.n
     width = math.sqrt(n / math.pi)
     idx = np.arange(-n, n)
-    frame = pair.q.frame
+    frame = pair.q.basis.frame
     worst = 0.0
     for centre in _interior_band(n):
         dist = (idx - centre + n) % (2 * n) - n
@@ -311,7 +301,7 @@ def weyl_residual(pair: CanonicalPair) -> CheckReport:
     comm_over_ihbar = comm / (1j * hbar)
     trace_residual = abs(complex(np.trace(comm)))
     trace_scale = q.norm() * p.norm()
-    frame = pair.q.frame
+    frame = pair.q.basis.frame
     diagonal = np.real(np.diag(frame.conj().T @ comm_over_ihbar @ frame))
     interior = _interior_probe_deviation(pair, comm_over_ihbar)
     return CheckReport(
@@ -339,13 +329,13 @@ def conjugation_parity_check(pair: CanonicalPair) -> CheckReport:
     unpaired edge mode of norm 2 pi hbar / epsilon whose relative trace-norm
     weight (2/n) vanishes as n grows.
     """
-    frame = pair.q.frame
+    frame = pair.q.basis.frame
     q_e, p_e = pair.q.observable.entries, pair.p.entries
     coordinate_defect = opnorm(frame_conjugate(q_e, frame) - q_e)
     defect = frame_conjugate(p_e, frame) + p_e
     defect_norm = opnorm(defect)
     expected_norm = 2 * math.pi * pair.hbar / pair.epsilon
-    edge_mode = pair.momentum_basis[0]  # k = -n
+    edge_mode = pair.momentum.basis[0]  # k = -n
     edge_value = pair.momentum_spectrum[0]
     rank_one_residual = opnorm(defect - 2 * edge_value * edge_mode.entries)
     trace_weight = (float(np.sum(np.abs(np.linalg.eigvalsh(defect))))
@@ -369,9 +359,7 @@ def conjugation_parity_check(pair: CanonicalPair) -> CheckReport:
 
 def momentum_as_linear_spectrum(pair: CanonicalPair) -> LinearSpectrumObservable:
     """The momentum itself, as a coordinate with resolution pi hbar/(n epsilon)."""
-    return LinearSpectrumObservable(pair.n, pair.momentum_resolution(), pair.p,
-                                    pair.momentum_basis,
-                                    np.array(pair.fourier_frame))
+    return pair.momentum
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,8 @@ class ProjectorBasis:
     Projector ``j`` is ``B_j B_j^dagger`` over block ``j``; indexing builds
     only that one, as a validated :class:`Observable`, and iteration builds
     them one at a time.  ``len``, ``ranks`` and ``is_elementary`` read the
-    block sizes.  :meth:`from_frame` takes the frame directly.
+    block sizes.  :meth:`from_frame` takes the frame directly, and ``frame``
+    exposes it as a read-only array.
 
     ``ProjectorBasis(projectors)`` certifies each matrix Hermitian and
     idempotent and takes the eigenvectors of its eigenvalues above 1/2 as its
@@ -259,7 +260,7 @@ class ProjectorBasis:
     exclusivity, since ``||P_j P_k|| = ||B_j^dagger B_k||``.
     """
 
-    __slots__ = ("labels", "_frame", "_block_sizes")
+    __slots__ = ("labels", "frame", "_block_sizes")
 
     def __init__(self, projectors: Sequence[PseudoObservable],
                  labels: Sequence[float] | None = None):
@@ -324,7 +325,7 @@ class ProjectorBasis:
         sizes = tuple(int(s) for s in block_sizes)
         if any(size < 1 for size in sizes):
             raise AlgebraError("block sizes must be positive: a basis has no zero projector")
-        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_block_sizes", sizes)
         object.__setattr__(self, "labels", _coerce_labels(labels, len(sizes)))
 
@@ -337,12 +338,12 @@ class ProjectorBasis:
     def __getitem__(self, j: int) -> Observable:
         j = range(len(self._block_sizes))[operator.index(j)]
         start = sum(self._block_sizes[:j])
-        block = self._frame[:, start:start + self._block_sizes[j]]
+        block = self.frame[:, start:start + self._block_sizes[j]]
         return Observable(block @ block.conj().T)
 
     @property
     def dim(self) -> int:
-        return self._frame.shape[0]
+        return self.frame.shape[0]
 
     def ranks(self) -> tuple[int, ...]:
         return self._block_sizes
@@ -376,7 +377,7 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> Observable:
         basis = self.basis
-        return Observable(_spectral_apply(basis._frame, self.eigenvalues, basis.ranks()))
+        return Observable(_spectral_apply(basis.frame, self.eigenvalues, basis.ranks()))
 
 
 def _spectral_apply(frame: np.ndarray, values, mults) -> np.ndarray:

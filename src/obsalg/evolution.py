@@ -414,7 +414,7 @@ def temporal_abscissa_check(n: int, tau_units: float, hbar: float = 1.0) -> Chec
     u = unitary_exponential((tau_units / hbar) * h_obs)
     step_error = u.distance(pair.s)
     moved = u.entries @ t_obs.entries @ u.entries.conj().T
-    frame = pair.q.frame
+    frame = pair.q.basis.frame
     moved_labels = np.real(np.diag(frame.conj().T @ moved @ frame))
     target_labels = np.array(translate_labels(pair, 1))
     label_residual = float(np.max(np.abs(moved_labels - target_labels)))
@@ -422,7 +422,7 @@ def temporal_abscissa_check(n: int, tau_units: float, hbar: float = 1.0) -> Chec
     zero_ok = translate_labels(pair, 0) == pair.q.spectrum
 
     # time-reversal parity in the energy frame
-    energy_frame = np.array(pair.fourier_frame)
+    energy_frame = pair.momentum.basis.frame
     h_defect = opnorm(frame_conjugate(h_obs.entries, energy_frame) - h_obs.entries)
     t_defect = frame_conjugate(t_obs.entries, energy_frame) + t_obs.entries
     edge_projector = pair.q.basis[0].entries  # j = -n coordinate mode

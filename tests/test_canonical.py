@@ -18,7 +18,8 @@ from obsalg.canonical import (
     translate_steps,
     weyl_residual,
 )
-from obsalg.core import AlgebraError, Observable, commutator, opnorm, trace
+from obsalg.core import AlgebraError, Observable, ProjectorBasis, commutator, opnorm, trace
+from obsalg.rand import random_unitary
 from obsalg.transforms import unitary_exponential
 
 
@@ -118,6 +119,26 @@ def test_momentum_is_linear_spectrum_observable():
     assert dual.observable is pair.p
 
 
+_RESOLUTION_RULES = {"0.1": lambda n: 0.1, "0.3": lambda n: 0.3,
+                     "1/sqrt(n)": lambda n: 1 / math.sqrt(n)}
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("rule", sorted(_RESOLUTION_RULES))
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 16])
+def test_momentum_coordinate_labels_are_exact_multiples(n, rule, hbar):
+    # k*pi*hbar/(n*eps) and k*(pi*hbar/(n*eps)) differ in the last digit
+    # unless n*eps is a power of two; the momentum uses the coordinate rule
+    eps = _RESOLUTION_RULES[rule](n)
+    pair = make_canonical_pair(make_position(n, eps), hbar=hbar)
+    dual = momentum_as_linear_spectrum(pair)
+    resolution = math.pi * hbar / (n * eps)
+    assert isinstance(dual, LinearSpectrumObservable)
+    assert dual.observable is pair.p
+    assert dual.epsilon == resolution
+    assert dual.spectrum == tuple(j * resolution for j in range(-n, n))
+
+
 def test_pair_on_rotated_frame(rng):
     # same invariants hold when the coordinate basis is not the standard one
     from obsalg.rand import random_unitary
@@ -125,11 +146,35 @@ def test_pair_on_rotated_frame(rng):
     labels = [j * 0.5 for j in range(-4, 4)]
     from obsalg.core import ProjectorBasis
     basis = ProjectorBasis.from_frame(u, [1] * 8, labels=labels)
-    q = LinearSpectrumObservable(4, 0.5, Observable((u * np.array(labels)) @ u.conj().T),
-                                 basis, u)
+    q = LinearSpectrumObservable(4, 0.5, basis)
     pair = make_canonical_pair(q, hbar=1.0)
     assert pair.exponential_consistency() < 1e-10
     assert opnorm(np.linalg.matrix_power(pair.s.entries, 8) - np.eye(8)) < 1e-10
+
+
+def test_coordinate_is_derived_from_its_basis(rng):
+    u = random_unitary(rng, 8).entries
+    labels = [j * 0.5 for j in range(-4, 4)]
+    q = LinearSpectrumObservable(4, 0.5, ProjectorBasis.from_frame(u, [1] * 8, labels=labels))
+    expected = sum(label * proj.entries for label, proj in zip(q.spectrum, q.basis))
+    assert isinstance(q.observable, Observable)
+    assert opnorm(q.observable.entries - expected) < 1e-12
+    assert opnorm(q.basis[0].entries - np.outer(u[:, 0], u[:, 0].conj())) < 1e-12
+    assert not q.basis.frame.flags.writeable
+    with pytest.raises(AttributeError):
+        q.basis.frame = np.eye(8)
+
+
+@pytest.mark.parametrize("blocks, labels, message", [
+    ([1] * 6, [j * 0.5 for j in range(-3, 3)], "2n rank-one"),
+    ([2, 1, 1, 1, 1, 1, 1], [j * 0.5 for j in range(-4, 3)], "2n rank-one"),
+    ([1] * 8, [j * 0.25 for j in range(-4, 4)], "labels"),
+])
+def test_coordinate_rejects_mismatched_basis(rng, blocks, labels, message):
+    d = sum(blocks)
+    basis = ProjectorBasis.from_frame(random_unitary(rng, d).entries, blocks, labels=labels)
+    with pytest.raises(AlgebraError, match=message):
+        LinearSpectrumObservable(4, 0.5, basis)
 
 
 def test_canonical_pair_memory_is_quadratic_in_dim():

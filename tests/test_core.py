@@ -337,6 +337,24 @@ def test_explicit_basis_is_frame_backed(rng):
         assert opnorm(p.entries - q.entries) < 1e-12
 
 
+@pytest.mark.parametrize("route", ["explicit", "from_frame", "spectral"])
+def test_projector_basis_frame_is_read_only(rng, route):
+    u = np.array(random_unitary(rng, 4).entries)
+    if route == "explicit":
+        basis = ProjectorBasis([Observable(np.outer(c, c.conj())) for c in u.T])
+    elif route == "from_frame":
+        basis = ProjectorBasis.from_frame(u, [1, 3])
+        u[0, 0] = 7.0  # the basis holds its own copy
+        assert basis.frame[0, 0] != 7.0
+    else:
+        basis = spectral_decompose(random_hermitian(rng, 4)).basis
+    assert not basis.frame.flags.writeable
+    with pytest.raises(ValueError):
+        basis.frame[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        basis.frame = np.eye(4)
+
+
 def test_transformed_coordinate_basis_validates(rng):
     u = random_unitary(rng, 5).entries
     projs = [Observable(np.outer(u[:, j], u[:, j].conj())) for j in range(5)]

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from obsalg import transforms
 from obsalg.canonical import make_canonical_pair, make_position
 from obsalg.core import (
     AlgebraError,
@@ -318,6 +319,54 @@ def test_multiplicities_preserved(rng):
     assert report.passed
     assert report.details["multiplicities_before"] == (2, 3, 1)
     assert report.details["multiplicities_after"] == (2, 3, 1)
+
+
+def _degenerate_case(rng):
+    u = random_unitary(rng, 6).entries
+    a = Observable((u * np.array([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0])) @ u.conj().T)
+    return from_unitary(random_unitary(rng, 6)), a
+
+
+def _random_case(rng):
+    return from_unitary(random_unitary(rng, 16)), random_hermitian(rng, 16)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3])
+@pytest.mark.parametrize("case", [_degenerate_case, _random_case])
+def test_projector_residual_matches_dense_projectors(rng, monkeypatch, case, tilt):
+    # the target decomposition is that of W' A W'^dagger, W' = W e^{i tilt H},
+    # so with a tilt the residual is of order tilt rather than roundoff
+    t, a = case(rng)
+    w = t.w.entries @ unitary_exponential(tilt * random_hermitian(rng, a.dim)).entries
+    target = Observable(w @ a.entries @ w.conj().T)
+    monkeypatch.setattr(transforms, "apply", lambda t_, p: target)
+    report = spectrum_preservation_check(t, a)
+    before, after = spectral_decompose(a), spectral_decompose(target)
+    assert before.multiplicities == after.multiplicities
+    dense = max(apply(t, p).distance(q) for p, q in zip(before.basis, after.basis))
+    assert abs(report.residuals["projector_residual"] - dense) <= 1e-12
+    assert report.passed == (tilt == 0.0)
+
+
+def test_multiplicity_mismatch_reports_infinite_projector_residual(rng, monkeypatch):
+    u = random_unitary(rng, 6).entries
+    a = Observable((u * np.array([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0])) @ u.conj().T)
+    moved = Observable((u * np.array([-1.0, 0.5, 0.5, 0.5, 0.5, 2.0])) @ u.conj().T)
+    monkeypatch.setattr(transforms, "apply", lambda t, p: moved)
+    report = spectrum_preservation_check(Transformation.identity(6), a)
+    assert not report.passed
+    assert report.residuals["projector_residual"] == math.inf
+    assert report.details["multiplicities_after"] == (1, 4, 1)
+
+
+def test_spectrum_check_builds_no_projector(rng, monkeypatch):
+    def forbidden(self, j):
+        raise AssertionError("a projector was materialized")
+
+    t = from_unitary(random_unitary(rng, 64))
+    a = random_hermitian(rng, 64)
+    monkeypatch.setattr(ProjectorBasis, "__getitem__", forbidden)
+    assert spectrum_preservation_check(t, a).passed
 
 
 # --- trace and inner-product invariance --------------------------------------------
