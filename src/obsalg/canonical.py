@@ -151,9 +151,6 @@ class CanonicalPair:
     def momentum_spectrum(self) -> tuple[float, ...]:
         return self.momentum.spectrum
 
-    def momentum_resolution(self) -> float:
-        return self.momentum.epsilon
-
     def exponential_consistency(self) -> float:
         """||exp(i (epsilon/hbar) P) - S||; small by construction."""
         from .transforms import unitary_exponential

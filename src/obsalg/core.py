@@ -112,9 +112,6 @@ class PseudoObservable:
     def dagger(self) -> "PseudoObservable":
         return PseudoObservable(self.entries.conj().T, self.unit_tag)
 
-    def is_hermitian(self, tol: float = TOL_HERM) -> bool:
-        return hermiticity_defect(self.entries) <= tol
-
     def norm(self) -> float:
         return opnorm(self.entries)
 
@@ -164,22 +161,22 @@ class Observable(PseudoObservable):
 
     __slots__ = ()
 
-    def __init__(self, entries, unit_tag: str | None = None, tol: float = TOL_HERM):
+    def __init__(self, entries, unit_tag: str | None = None):
         super().__init__(entries, unit_tag)
         defect = hermiticity_defect(self.entries)
-        if defect > tol:
+        if defect > TOL_HERM:
             raise AlgebraError(
-                f"matrix is not Hermitian: relative defect {defect:.3e} > {tol:.1e}")
+                f"matrix is not Hermitian: relative defect {defect:.3e} > {TOL_HERM:.1e}")
 
     def dagger(self) -> "Observable":
         return Observable(self.entries.conj().T, self.unit_tag)
 
 
-def as_observable(p: PseudoObservable, tol: float = TOL_HERM) -> Observable:
+def as_observable(p: PseudoObservable) -> Observable:
     """View an algebra element as an Observable, validating Hermiticity."""
     if isinstance(p, Observable):
         return p
-    return Observable(p.entries, p.unit_tag, tol=tol)
+    return Observable(p.entries, p.unit_tag)
 
 
 def _wrap_like(entries: np.ndarray, template: PseudoObservable) -> PseudoObservable:
@@ -300,10 +297,11 @@ class ProjectorBasis:
 
         ``||frame^dagger frame - 1||`` bounds every basis residual (products,
         idempotence, closure), so only that one check is run.  The frame is
-        stored (copied unless already read-only) and no projector is built.
+        stored, copied unless it is read-only and owns its data (a read-only
+        view could still change through its base), and no projector is built.
         """
         frame = np.asarray(frame, dtype=complex)
-        if frame.flags.writeable:
+        if frame.flags.writeable or not frame.flags.owndata:
             frame = _frozen(frame.copy())
         d = frame.shape[0]
         if frame.shape != (d, d) or sum(block_sizes) != d:
@@ -385,12 +383,12 @@ def _spectral_apply(frame: np.ndarray, values, mults) -> np.ndarray:
     return (frame * np.repeat(np.asarray(values), mults)) @ frame.conj().T
 
 
-def _spectral_frame(a: PseudoObservable, grouping_tol: float = GROUPING_TOL):
+def _spectral_frame(a: PseudoObservable):
     """The spectral kernel: one validated eigendecomposition of a Hermitian element.
 
     Returns ``(frame, means, mults)``: the eigenvector frame (read-only), the
     mean of each eigenvalue cluster and the cluster sizes.  Eigenvalues within
-    ``grouping_tol * max(1, spectral radius)`` of their neighbour share a
+    ``GROUPING_TOL * max(1, spectral radius)`` of their neighbour share a
     cluster.  Certifies the input's Hermiticity, the frame's Gram residual
     ``||V^dagger V - 1|| <= TOL_RECON`` and the reconstruction residual
     ``||sum_j a_j I_j - A|| <= TOL_RECON * max(1, radius)``.
@@ -401,7 +399,7 @@ def _spectral_frame(a: PseudoObservable, grouping_tol: float = GROUPING_TOL):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise AlgebraError(f"eigensolver failed: {exc}") from exc
     radius = float(np.max(np.abs(w))) if w.size else 0.0
-    gap = grouping_tol * max(1.0, radius)
+    gap = GROUPING_TOL * max(1.0, radius)
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > gap)
     mults = np.diff(np.append(starts, len(w)))
     means = w[starts]
@@ -414,16 +412,15 @@ def _spectral_frame(a: PseudoObservable, grouping_tol: float = GROUPING_TOL):
     return _frozen(v), means, mults
 
 
-def spectral_decompose(a: PseudoObservable,
-                       grouping_tol: float = GROUPING_TOL) -> SpectralDecomposition:
+def spectral_decompose(a: PseudoObservable) -> SpectralDecomposition:
     """Eigendecompose a Hermitian element into distinct spectral terms.
 
-    Eigenvalues within ``grouping_tol * max(1, spectral radius)`` of each other
+    Eigenvalues within ``GROUPING_TOL * max(1, spectral radius)`` of each other
     belong to one term; the projector of a multiple eigenvalue spans its whole
     eigenvector cluster.  The basis is frame-backed (see
     :class:`ProjectorBasis`), so no projector is built until it is indexed.
     """
-    frame, means, mults = _spectral_frame(a, grouping_tol)
+    frame, means, mults = _spectral_frame(a)
     eigs = means.tolist()
     basis = ProjectorBasis._over_frame(frame, mults, labels=eigs)
     return SpectralDecomposition(eigs, basis, mults)
@@ -454,8 +451,7 @@ def _function_values(f: FunctionLike, eigenvalues: Sequence[float],
     return values
 
 
-def apply_function(f: FunctionLike, a: PseudoObservable,
-                   grouping_tol: float = GROUPING_TOL) -> PseudoObservable:
+def apply_function(f: FunctionLike, a: PseudoObservable) -> PseudoObservable:
     """f(A) = sum_j f(a_j) I_j by spectral calculus.
 
     One pass of the spectral kernel (one ``eigh``, certified) gives the
@@ -464,14 +460,14 @@ def apply_function(f: FunctionLike, a: PseudoObservable,
     built.  ``f`` is evaluated once per cluster, at its mean, whether it is a
     callable on reals or tabulated (eigenvalue, value) pairs; for a callable
     this differs from evaluating at each raw eigenvalue by at most
-    ``|f'| * grouping_tol * max(1, radius)``.  Returns an :class:`Observable`
+    ``|f'| * GROUPING_TOL * max(1, radius)``.  Returns an :class:`Observable`
     when the result is Hermitian (real-valued ``f``), otherwise a plain
     element (e.g. complex phases).
     """
-    frame, means, mults = _spectral_frame(a, grouping_tol)
+    frame, means, mults = _spectral_frame(a)
     eigs = means.tolist()
     radius = max((abs(x) for x in eigs), default=0.0)
-    values = _function_values(f, eigs, grouping_tol * max(1.0, radius))
+    values = _function_values(f, eigs, GROUPING_TOL * max(1.0, radius))
     return _wrap_like(_spectral_apply(frame, values, mults), a)
 
 

@@ -219,26 +219,16 @@ def reverse_step(engine: EvolutionEngine, o: Observable, t: float) -> Observable
 # equation-of-motion residuals
 # ---------------------------------------------------------------------------
 
-def heisenberg_step_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
-                             t: float, step: float,
-                             conjugator: np.ndarray | None = None) -> float:
+def heisenberg_step_residual(engine: EvolutionEngine, node: ObservableExpr, t: float,
+                             step: float, v: np.ndarray, o_now: np.ndarray) -> float:
     """|| (O(t+step)-O(t))/step - [O,H]/(i hbar) - dO/dt || for one step.
 
-    O(t) = V O_bare(t) V^dagger is read through the conjugator V accumulated
-    over the steps taken so far (the identity by default), and
+    O(t) = ``o_now`` = V O_bare(t) V^dagger is read through the conjugator V
+    accumulated over the steps taken so far, and
     O(t+step) = U V O_bare(t+step) V^dagger U^dagger.  O_bare comes from the
     Hamiltonian's memo; when it does not reference t, O_bare(t+step) is
     O_bare(t) and dO/dt is exactly 0, so that term is left out.
     """
-    node = parse(o_expr) if isinstance(o_expr, str) else o_expr
-    v = np.eye(engine.dim, dtype=complex) if conjugator is None else conjugator
-    o_now = v @ engine.hamiltonian.value(node, t).entries @ v.conj().T
-    return _heisenberg_step_residual(engine, node, t, step, v, o_now)
-
-
-def _heisenberg_step_residual(engine: EvolutionEngine, node: ObservableExpr, t: float,
-                              step: float, v: np.ndarray, o_now: np.ndarray) -> float:
-    """:func:`heisenberg_step_residual` with O(t) = V O_bare(t) V^dagger given."""
     ham = engine.hamiltonian
     h_t = ham.evaluate(t).entries
     u = engine.unitary(t, step).entries
@@ -309,9 +299,10 @@ def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
     node = parse(o_expr) if isinstance(o_expr, str) else o_expr
     o_t = engine.hamiltonian.value(node, t)
     scale = max(1.0, o_t.norm()) * max(1.0, engine.hamiltonian.evaluate(t).norm())
+    v = np.eye(engine.dim, dtype=complex)
     return _halving_report(
         "heisenberg_residual",
-        lambda step: heisenberg_step_residual(engine, node, t, step),
+        lambda step: heisenberg_step_residual(engine, node, t, step, v, o_t.entries),
         engine.grid.tau, scale)
 
 

@@ -26,9 +26,9 @@ from .evolution import (
     EvolutionEngine,
     Hamiltonian,
     TimeGrid,
-    _heisenberg_step_residual,
     heisenberg_residual,
     heisenberg_step,
+    heisenberg_step_residual,
     schrodinger_residual,
     schrodinger_step,
     schrodinger_step_residual,
@@ -238,7 +238,8 @@ def _initial_state(config: ScenarioConfig, dim: int,
             parts = item if isinstance(item, list) and len(item) == 2 else [item, 0.0]
             amps.append(complex(*(_number(x, path) for x in parts)))
         arr = np.array(amps, dtype=complex)
-        norm = np.linalg.norm(arr)
+        with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+            norm = np.linalg.norm(arr)
         if norm == 0:
             raise SchemaError("config.initial_state", "zero amplitude vector")
         if not math.isfinite(norm):
@@ -335,8 +336,8 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
             break
 
         if conjugator is not None:
-            residual = max((_heisenberg_step_residual(engine, node, t, tau, conjugator,
-                                                      o.entries)
+            residual = max((heisenberg_step_residual(engine, node, t, tau, conjugator,
+                                                     o.entries)
                             for node, o in zip(traced.values(), read)), default=0.0)
             conjugator = engine.unitary(t).entries @ conjugator
         elif isinstance(state, StateVector):

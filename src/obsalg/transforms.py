@@ -28,6 +28,8 @@ from .core import (
     Observable,
     ProjectorBasis,
     PseudoObservable,
+    _check_same_dim,
+    _frozen,
     _spectral_apply,
     _spectral_frame,
     apply_function,
@@ -57,7 +59,7 @@ def _fold_phase(theta: float) -> float:
     return math.pi if folded <= -math.pi else folded
 
 
-def _joint_phases(w: PseudoObservable, grouping_tol: float):
+def _joint_phases(w: PseudoObservable):
     """Phases and simultaneous eigenvectors of a unitary.
 
     Returns (thetas, vectors) with one entry per dimension, thetas in the
@@ -67,9 +69,9 @@ def _joint_phases(w: PseudoObservable, grouping_tol: float):
     re = (e + e.conj().T) / 2
     im = (e - e.conj().T) / 2j
     wr, vr = np.linalg.eigh(re)
-    gap = grouping_tol * max(1.0, float(np.max(np.abs(wr))))
+    gap = GROUPING_TOL * max(1.0, float(np.max(np.abs(wr))))
     thetas: list[float] = []
-    vectors: list[np.ndarray] = []
+    vectors = np.empty_like(vr)
     start = 0
     while start < len(wr):
         stop = start + 1
@@ -79,6 +81,7 @@ def _joint_phases(w: PseudoObservable, grouping_tol: float):
         compressed = block.conj().T @ im @ block
         wi, vi = np.linalg.eigh((compressed + compressed.conj().T) / 2)
         joint = block @ vi
+        vectors[:, start:stop] = joint
         for col, beta in zip(joint.T, wi):
             alpha = float(np.real(col.conj() @ re @ col))
             unit_residual = abs(alpha ** 2 + float(beta) ** 2 - 1.0)
@@ -86,46 +89,50 @@ def _joint_phases(w: PseudoObservable, grouping_tol: float):
                 raise AlgebraError(
                     f"coefficient relation cos^2+sin^2=1 violated by {unit_residual:.3e}")
             thetas.append(_fold_phase(math.atan2(float(beta), alpha)))
-            vectors.append(col)
         start = stop
-    return np.array(thetas), np.column_stack(vectors)
+    return np.array(thetas), vectors
 
 
-def _cluster_phases(thetas: np.ndarray, grouping_tol: float) -> list[list[int]]:
+def _cluster_phases(thetas: np.ndarray) -> list[list[int]]:
     """Cluster phases by angular distance, merging across the +/-pi seam."""
     order = np.argsort(thetas)
     clusters: list[list[int]] = [[int(order[0])]]
     for idx in order[1:]:
         prev = clusters[-1][-1]
-        if thetas[idx] - thetas[prev] <= grouping_tol:
+        if thetas[idx] - thetas[prev] <= GROUPING_TOL:
             clusters[-1].append(int(idx))
         else:
             clusters.append([int(idx)])
     if len(clusters) > 1:
         seam = 2 * math.pi - (thetas[clusters[-1][-1]] - thetas[clusters[0][0]])
-        if seam <= grouping_tol:
+        if seam <= GROUPING_TOL:
             clusters[0] = clusters.pop() + clusters[0]
     return clusters
 
 
 class Transformation:
-    """Ring automorphism of the algebra, induced by a unitary W = e^{iG}."""
+    """Ring automorphism of the algebra, induced by a unitary W = e^{iG}.
 
-    __slots__ = ("w", "generatrix")
+    Held as W and ``basis``, the eigenbasis of G = sum_j g_j I_j labelled by
+    g_j in (-pi, pi].  Certifying ||sum_j e^{i g_j} I_j - W|| here, with the
+    basis's own Gram certificate, bounds ||e^{iG} - W|| with no eigensolver.
+    """
 
-    def __init__(self, w: PseudoObservable, generatrix: Observable):
+    __slots__ = ("w", "basis")
+
+    def __init__(self, w: PseudoObservable, basis: ProjectorBasis):
         defect = unitary_defect(w)
         if defect > TOL_RECON:
             raise AlgebraError(f"inducing element is not unitary: {defect:.3e}")
-        spectrum = np.linalg.eigvalsh(generatrix.entries)
-        if spectrum.size and (spectrum[0] <= -math.pi - 1e-12
-                              or spectrum[-1] > math.pi + 1e-12):
+        _check_same_dim(w, basis)
+        if basis.labels is None or not all(-math.pi < g <= math.pi for g in basis.labels):
             raise AlgebraError("generatrix spectrum must lie in (-pi, pi]")
-        recon = opnorm(unitary_exponential(generatrix).entries - w.entries)
+        phases = np.exp(1j * np.array(basis.labels))
+        recon = opnorm(_spectral_apply(basis.frame, phases, basis.ranks()) - w.entries)
         if recon > TOL_RECON:
             raise AlgebraError(f"e^(iG) does not reproduce W: residual {recon:.3e}")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "generatrix", generatrix)
+        object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("Transformation is immutable")
@@ -134,26 +141,32 @@ class Transformation:
     def dim(self) -> int:
         return self.w.dim
 
+    @property
+    def generatrix(self) -> Observable:
+        """G = sum_j g_j I_j, built from the basis on each read."""
+        basis = self.basis
+        return Observable(_spectral_apply(basis.frame, basis.labels, basis.ranks()))
+
     @classmethod
     def identity(cls, dim: int) -> "Transformation":
-        return cls(PseudoObservable.identity(dim), Observable(np.zeros((dim, dim))))
+        return cls(PseudoObservable.identity(dim),
+                   ProjectorBasis.from_frame(np.eye(dim), [dim], [0.0]))
 
     def __repr__(self):
         return f"Transformation(dim={self.dim})"
 
 
-def from_unitary(w: PseudoObservable,
-                 grouping_tol: float = GROUPING_TOL) -> Transformation:
+def from_unitary(w: PseudoObservable) -> Transformation:
     """Wrap a unitary, extracting its principal-branch generatrix."""
     defect = unitary_defect(w)
     if defect > TOL_RECON:
         raise AlgebraError(f"not unitary: ||W^dagger W - 1|| = {defect:.3e}")
-    thetas, vectors = _joint_phases(w, grouping_tol)
+    thetas, vectors = _joint_phases(w)
     reps = np.empty(w.dim)  # one representative phase per column
-    for cluster in _cluster_phases(thetas, grouping_tol):
+    for cluster in _cluster_phases(thetas):
         reps[cluster] = _fold_phase(float(np.angle(np.mean(np.exp(1j * thetas[cluster])))))
-    g = (vectors * reps) @ vectors.conj().T
-    return Transformation(w, Observable(g))
+    basis = ProjectorBasis.from_frame(_frozen(vectors), [1] * w.dim, reps)
+    return Transformation(w, basis)
 
 
 def from_generatrix(g: PseudoObservable) -> Transformation:
@@ -163,9 +176,9 @@ def from_generatrix(g: PseudoObservable) -> Transformation:
     induced unitary is unchanged by the fold.
     """
     frame, means, mults = _spectral_frame(g)
-    folded = _spectral_apply(frame, [_fold_phase(lam) for lam in means], mults)
     w = _spectral_apply(frame, [cmath.exp(1j * lam) for lam in means], mults)
-    return Transformation(PseudoObservable(w), Observable(folded))
+    basis = ProjectorBasis._over_frame(frame, mults, [_fold_phase(lam) for lam in means])
+    return Transformation(PseudoObservable(w), basis)
 
 
 def apply(t: Transformation, p: PseudoObservable) -> PseudoObservable:
@@ -177,8 +190,10 @@ def apply(t: Transformation, p: PseudoObservable) -> PseudoObservable:
 
 
 def inverse(t: Transformation) -> Transformation:
-    """tau^{-1}, induced by W^dagger."""
-    return from_unitary(t.w.dagger())
+    """tau^{-1}, induced by W^dagger = e^{-iG}: the same basis, labels negated."""
+    basis = t.basis
+    return Transformation(t.w.dagger(), ProjectorBasis._over_frame(
+        basis.frame, basis.ranks(), [_fold_phase(-g) for g in basis.labels]))
 
 
 def compose(t1: Transformation, t2: Transformation) -> Transformation:
@@ -232,8 +247,7 @@ def invariance_characterization(t: Transformation, a: Observable,
     )
 
 
-def spectrum_preservation_check(t: Transformation, a: Observable,
-                                grouping_tol: float = GROUPING_TOL) -> CheckReport:
+def spectrum_preservation_check(t: Transformation, a: Observable) -> CheckReport:
     """tau(A) has the spectrum of A, same multiplicities, transported projectors.
 
     Projectors are compared by frame: ||W P_j W^dagger - Q_j|| equals
@@ -241,8 +255,8 @@ def spectrum_preservation_check(t: Transformation, a: Observable,
     angle (Davis-Kahan).  The residual is inf when the multiplicities differ.
     """
     a = as_observable(a)
-    before = spectral_decompose(a, grouping_tol)
-    after = spectral_decompose(apply(t, a), grouping_tol)
+    before = spectral_decompose(a)
+    after = spectral_decompose(apply(t, a))
     scale = max(1.0, a.norm())
     if len(before.eigenvalues) != len(after.eigenvalues):
         return CheckReport(
@@ -259,7 +273,7 @@ def spectrum_preservation_check(t: Transformation, a: Observable,
         target = np.split(after.basis.frame, cuts, axis=1)
         projector_residual = max(opnorm(wb - b @ (b.conj().T @ wb))
                                  for wb, b in zip(moved, target))
-    passed = (spectrum_residual <= grouping_tol * scale
+    passed = (spectrum_residual <= GROUPING_TOL * scale
               and projector_residual <= TOL_RECON)
     return CheckReport(
         name="spectrum_preservation",

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import traceback
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -48,6 +52,21 @@ def test_mistyped_field_is_a_validation_error(tmp_path, capsys, field, value):
     path.write_text(json.dumps(edited(free_particle_doc(), field, value)))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert f"config.{field}" in capsys.readouterr().err
+
+
+def test_overflowing_amplitudes_report_only_the_validation_error(tmp_path):
+    # a subprocess, so the interpreter's own warning filters decide what reaches stderr
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(edited(free_particle_doc(), "initial_state", [1e200, 1e200])))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "obsalg.cli", "run", str(path),
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("validation error: config.initial_state: "
+                           "amplitude vector norm overflows\n")
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -355,6 +355,16 @@ def test_projector_basis_frame_is_read_only(rng, route):
         basis.frame = np.eye(4)
 
 
+def test_from_frame_copies_a_read_only_view():
+    a = np.eye(4, dtype=complex)
+    v = a.view()
+    v.setflags(write=False)
+    basis = ProjectorBasis.from_frame(v, [1] * 4)
+    a[0, 0] = 0.5  # writes through the view's base
+    assert basis.frame[0, 0] == 1.0
+    assert opnorm(basis[0].entries @ basis[0].entries - basis[0].entries) == 0.0
+
+
 def test_transformed_coordinate_basis_validates(rng):
     u = random_unitary(rng, 5).entries
     projs = [Observable(np.outer(u[:, j], u[:, j].conj())) for j in range(5)]

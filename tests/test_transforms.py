@@ -182,6 +182,51 @@ def test_compose_with_inverse_is_identity(rng):
     assert apply(inverse(t), apply(t, p)).distance(p) < 1e-10 * max(1.0, p.norm())
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_inverse_of_near_mirror_generatrix_negates_it(seed):
+    # eigenphases 0.9 and -0.9 + 6e-8 are near mirror images, where
+    # re-extracting a generatrix from W^dagger misses its bound
+    u = random_unitary(np.random.default_rng(seed), 4).entries
+    g = Observable((u * np.array([0.9, -0.9 + 6e-8, 0.3, -2.0])) @ u.conj().T)
+    t = inverse(from_generatrix(g))
+    assert opnorm(t.generatrix.entries + g.entries) <= 1e-12
+
+
+def test_inverse_and_constructor_call_no_eigensolver(rng, monkeypatch):
+    t = from_unitary(random_unitary(rng, 6))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    inv = inverse(t)
+    assert opnorm(inv.w.entries - t.w.entries.conj().T) == 0.0
+    assert Transformation(t.w, t.basis).basis is t.basis
+
+
+def test_inverse_keeps_pi_label_and_is_an_involution(rng):
+    t = from_unitary(-1.0 * PseudoObservable.identity(3))
+    assert inverse(t).basis.labels == (math.pi,) * 3
+    for t in (t, from_unitary(random_unitary(rng, 5)),
+              from_generatrix(random_hermitian(rng, 4))):
+        assert inverse(inverse(t)).basis.labels == t.basis.labels
+
+
+@pytest.mark.parametrize("label", [-math.pi, 3.5, math.nan])
+def test_constructor_rejects_label_outside_principal_branch(label):
+    basis = ProjectorBasis.from_frame(np.eye(3), [1, 2], [0.0, label])
+    with pytest.raises(AlgebraError, match="must lie in"):
+        Transformation(PseudoObservable.identity(3), basis)
+
+
+def test_constructor_rejects_basis_that_does_not_reproduce_w(rng):
+    w = random_unitary(rng, 4)
+    basis = from_unitary(random_unitary(rng, 4)).basis
+    with pytest.raises(AlgebraError, match="does not reproduce W"):
+        Transformation(w, basis)
+
+
 def test_compose_matches_sequential_application(rng):
     t1 = from_unitary(random_unitary(rng, 4))
     t2 = from_unitary(random_unitary(rng, 4))
