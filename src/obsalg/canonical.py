@@ -182,10 +182,10 @@ def make_canonical_pair(q: LinearSpectrumObservable, hbar: float = 1.0) -> Canon
     s = PseudoObservable(frame @ _shift_matrix(d) @ frame.conj().T)
     pair = CanonicalPair(q, s, momentum, hbar)
     consistency = pair.exponential_consistency()
-    if consistency > TOL_RECON:
+    if not consistency <= TOL_RECON:
         raise AlgebraError(f"exp(i eps P / hbar) != S: residual {consistency:.3e}")
     cyclic = opnorm(np.linalg.matrix_power(s.entries, d) - np.eye(d))
-    if cyclic > TOL_RECON:
+    if not cyclic <= TOL_RECON:
         raise AlgebraError(f"S^(2n) != 1: residual {cyclic:.3e}")
     return pair
 

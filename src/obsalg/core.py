@@ -18,6 +18,17 @@ Tolerances are stated once here and reused by all other modules:
 * ``TOL_HERM``   -- Hermiticity, relative to the largest entry magnitude.
 * ``TOL_RECON``  -- reconstruction, closure and product residuals.
 * ``GROUPING_TOL`` -- eigenvalue clustering, relative to max(1, spectral radius).
+
+A residual that only gates a value (construction raises unless it is within
+its bound) is measured in the Frobenius norm: ``||X||_2 <= ||X||_F <=
+sqrt(d) ||X||_2`` (Golub & Van Loan, *Matrix Computations*, 2.3), so a gate
+on ``||X||_F`` is never looser than the same gate on the spectral norm and
+is stricter by at most sqrt(d), at the cost of one pass over the entries
+instead of an SVD.  These are the Gram certificate of a frame, the spectral
+reconstruction residual and the unitarity and e^{iG} residuals of a
+transformation.  A residual that is reported, in a check or a trace, stays
+a spectral norm.  Every gate is written ``if not residual <= bound``, so a
+NaN residual (from a non-finite entry) fails it.
 """
 
 from __future__ import annotations
@@ -57,8 +68,12 @@ def _coerce_entries(entries) -> np.ndarray:
 
 
 def opnorm(m) -> float:
-    """Spectral norm; accepts raw arrays and algebra elements."""
-    return float(np.linalg.norm(np.asarray(getattr(m, "entries", m)), 2))
+    """Spectral norm; accepts raw arrays and algebra elements.
+
+    The largest singular value, read from one LAPACK call: the value of
+    ``np.linalg.norm(m, 2)`` without its dispatch.
+    """
+    return float(np.linalg.svd(np.asarray(getattr(m, "entries", m)), compute_uv=False)[0])
 
 
 def _check_same_dim(a, b) -> None:
@@ -150,23 +165,50 @@ class PseudoObservable:
 
 
 def hermiticity_defect(entries: np.ndarray) -> float:
-    """max |E - E^dagger| relative to max(1, max |E|)."""
+    """max |E - E^dagger| relative to max(1, max |E|); NaN for a non-finite entry."""
     arr = np.asarray(entries)
     scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
     return float(np.max(np.abs(arr - arr.conj().T))) / scale
 
 
 class Observable(PseudoObservable):
-    """Hermitian element; construction validates Hermiticity at ``TOL_HERM``."""
+    """Hermitian element; construction validates Hermiticity at ``TOL_HERM``.
+
+    A non-finite entry fails validation.  A real multiple ``c * A`` stays an
+    Observable without a re-check: ``c a_ij`` and ``c conj(a_ji)`` are
+    conjugate bit for bit when ``a_ij`` and ``conj(a_ji)`` are, and their
+    difference otherwise scales by ``|c|`` like the entries.  Only its
+    finiteness is checked.
+    """
 
     __slots__ = ()
 
     def __init__(self, entries, unit_tag: str | None = None):
         super().__init__(entries, unit_tag)
         defect = hermiticity_defect(self.entries)
-        if defect > TOL_HERM:
-            raise AlgebraError(
-                f"matrix is not Hermitian: relative defect {defect:.3e} > {TOL_HERM:.1e}")
+        if not defect <= TOL_HERM:
+            what = "entries are not finite" if np.isnan(defect) else (
+                f"relative defect {defect:.3e} > {TOL_HERM:.1e}")
+            raise AlgebraError(f"matrix is not Hermitian: {what}")
+
+    @classmethod
+    def _trusted(cls, entries, unit_tag: str | None = None) -> "Observable":
+        """An Observable of entries the caller has just certified Hermitian."""
+        self = object.__new__(cls)
+        PseudoObservable.__init__(self, entries, unit_tag)
+        return self
+
+    def __mul__(self, scalar: Scalar):
+        c = complex(scalar)
+        if c.imag != 0:
+            return PseudoObservable(self.entries * c, self.unit_tag)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            entries = self.entries * c
+        if not np.isfinite(entries).all():
+            raise AlgebraError(f"{c.real!r} times the observable is not finite")
+        return Observable._trusted(entries, self.unit_tag)
+
+    __rmul__ = __mul__
 
     def dagger(self) -> "Observable":
         return Observable(self.entries.conj().T, self.unit_tag)
@@ -182,7 +224,7 @@ def as_observable(p: PseudoObservable) -> Observable:
 def _wrap_like(entries: np.ndarray, template: PseudoObservable) -> PseudoObservable:
     """Return an Observable when the result is Hermitian, else a plain element."""
     if hermiticity_defect(entries) <= TOL_HERM:
-        return Observable(entries, template.unit_tag)
+        return Observable._trusted(entries, template.unit_tag)
     return PseudoObservable(entries, template.unit_tag)
 
 
@@ -234,10 +276,14 @@ def is_compatible(a: PseudoObservable, b: PseudoObservable,
 
 def _check_orthonormal(frame: np.ndarray,
                        failure: str = "frame is not orthonormal") -> None:
-    """Gram certificate ||frame^dagger frame - 1|| <= TOL_RECON."""
-    gram = opnorm(frame.conj().T @ frame - np.eye(frame.shape[0]))
-    if gram > TOL_RECON:
-        raise AlgebraError(f"{failure}: residual {gram:.3e}")
+    """Gram certificate ||frame^dagger frame - 1||_F <= TOL_RECON.
+
+    Frobenius, so at most sqrt(d) stricter than the spectral-norm gate; a
+    non-finite entry fails it.
+    """
+    gram = float(np.linalg.norm(frame.conj().T @ frame - np.eye(frame.shape[0])))
+    if not gram <= TOL_RECON:
+        raise AlgebraError(f"{failure}: Frobenius residual {gram:.3e}")
 
 
 class ProjectorBasis:
@@ -296,7 +342,8 @@ class ProjectorBasis:
         """Projector basis over consecutive column blocks of a unitary frame.
 
         ``||frame^dagger frame - 1||`` bounds every basis residual (products,
-        idempotence, closure), so only that one check is run.  The frame is
+        idempotence, closure), so only that one check is run, in the
+        Frobenius norm (see :func:`_check_orthonormal`).  The frame is
         stored, copied unless it is read-only and owns its data (a read-only
         view could still change through its base), and no projector is built.
         """
@@ -389,26 +436,33 @@ def _spectral_frame(a: PseudoObservable):
     Returns ``(frame, means, mults)``: the eigenvector frame (read-only), the
     mean of each eigenvalue cluster and the cluster sizes.  Eigenvalues within
     ``GROUPING_TOL * max(1, spectral radius)`` of their neighbour share a
-    cluster.  Certifies the input's Hermiticity, the frame's Gram residual
-    ``||V^dagger V - 1|| <= TOL_RECON`` and the reconstruction residual
-    ``||sum_j a_j I_j - A|| <= TOL_RECON * max(1, radius)``.
+    cluster.  Certifies the input's Hermiticity (unless it is already an
+    :class:`Observable`), a finite spectrum, the frame's Gram residual
+    ``||V^dagger V - 1||_F <= TOL_RECON`` and the reconstruction residual
+    ``||sum_j a_j I_j - A||_F <= TOL_RECON * max(1, radius)``; both residuals
+    are Frobenius, at most sqrt(d) stricter than spectral-norm gates.
     """
     obs = as_observable(a)
     try:
         w, v = np.linalg.eigh(obs.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise AlgebraError(f"eigensolver failed: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise AlgebraError("spectrum is not finite")
     radius = float(np.max(np.abs(w))) if w.size else 0.0
-    gap = GROUPING_TOL * max(1.0, radius)
+    scale = max(1.0, radius)
+    gap = GROUPING_TOL * scale
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > gap)
     mults = np.diff(np.append(starts, len(w)))
     means = w[starts]
     for j in np.flatnonzero(mults > 1):
         means[j] = np.mean(w[starts[j]:starts[j] + mults[j]])
     _check_orthonormal(v)
-    recon = opnorm(_spectral_apply(v, means, mults) - obs.entries)
-    if recon > TOL_RECON * max(1.0, radius):
-        raise AlgebraError(f"spectral reconstruction residual {recon:.3e}")
+    # scaled before the norm, so its sum of squares cannot overflow for a large radius
+    recon = float(np.linalg.norm((_spectral_apply(v, means, mults) - obs.entries) / scale))
+    if not recon <= TOL_RECON:
+        raise AlgebraError(f"spectral reconstruction Frobenius residual {recon:.3e} "
+                           f"relative to max(1, radius) = {scale:.3e}")
     return _frozen(v), means, mults
 
 

@@ -156,7 +156,7 @@ class EvolutionEngine:
         if step not in self._unitaries:
             u = unitary_exponential((step / self.hbar) * self.hamiltonian.evaluate(t))
             defect = unitary_defect(u)
-            if defect > TOL_RECON:
+            if not defect <= TOL_RECON:
                 raise AlgebraError(f"evolution unitary defect {defect:.3e}")
             if step == self.grid.tau:
                 self.max_grid_defect = max(self.max_grid_defect, defect)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     AlgebraError,
+    Observable,
     PseudoObservable,
     _wrap_like,
     apply_function,
@@ -70,57 +71,82 @@ class ExprEvalError(AlgebraError):
 
 # --- AST -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose structural hash is computed once per node.
+
+    Nodes key the Hamiltonian's value memo, so a lookup would otherwise hash
+    the whole tree again.  The cached hash is not pickled: string hashes
+    differ between processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural_hash = cls.__hash__
+
+    def __hash__(self):
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = structural_hash(self)
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_node
 class Num:
     value: complex
 
 
-@dataclass(frozen=True)
+@_node
 class Sym:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     operand: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Dag:
     operand: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Add:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Sub:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Mul:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Div:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Pow:
     base: "Node"
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Call:
     func: str
     arg: "Node"
@@ -399,11 +425,11 @@ def _eval(node: Node, ctx: EvalContext):
         arg = _eval(node.arg, ctx)
         if isinstance(arg, np.ndarray):
             defect = hermiticity_defect(arg)
-            if defect > TOL_HERM:
+            if not defect <= TOL_HERM:
                 raise ExprEvalError(
-                    f"spectral function {node.func!r} requires a Hermitian "
+                    f"spectral function {node.func!r} requires a finite Hermitian "
                     f"argument (defect {defect:.3e})")
-            return apply_function(f, PseudoObservable(arg)).entries
+            return apply_function(f, Observable._trusted(arg)).entries
         with np.errstate(over="ignore", invalid="ignore"):
             value = complex(f(complex(arg)))
         if not cmath.isfinite(value):

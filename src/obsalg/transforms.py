@@ -15,7 +15,6 @@ angular distance on the unit circle to honour degenerate unitaries.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -28,11 +27,11 @@ from .core import (
     Observable,
     ProjectorBasis,
     PseudoObservable,
+    _check_orthonormal,
     _check_same_dim,
     _frozen,
     _spectral_apply,
     _spectral_frame,
-    apply_function,
     as_observable,
     commutator,
     inner_product,
@@ -44,13 +43,23 @@ from .report import CheckReport
 
 
 def unitary_defect(w: PseudoObservable) -> float:
-    """||W^dagger W - 1||, zero for unitaries."""
+    """||W^dagger W - 1||, zero for unitaries; the spectral norm, for reports.
+
+    Gates judge the same residual in the Frobenius norm instead (see
+    ``Transformation``).
+    """
     return opnorm(w.entries.conj().T @ w.entries - np.eye(w.dim))
 
 
 def unitary_exponential(g: PseudoObservable) -> PseudoObservable:
-    """e^{iG} = cos(G) + i sin(G), evaluated by spectral calculus."""
-    return apply_function(lambda x: cmath.exp(1j * x), as_observable(g))
+    """e^{iG} = cos(G) + i sin(G), evaluated by spectral calculus.
+
+    One pass of the spectral kernel, then ``V diag(e^{i g_j}) V^dagger``.
+    The result is always a plain element: no Hermiticity probe is spent on
+    a unitary.  An Observable argument is not validated again.
+    """
+    frame, means, mults = _spectral_frame(g)
+    return PseudoObservable(_spectral_apply(frame, np.exp(1j * means), mults))
 
 
 def _fold_phase(theta: float) -> float:
@@ -116,21 +125,23 @@ class Transformation:
     Held as W and ``basis``, the eigenbasis of G = sum_j g_j I_j labelled by
     g_j in (-pi, pi].  Certifying ||sum_j e^{i g_j} I_j - W|| here, with the
     basis's own Gram certificate, bounds ||e^{iG} - W|| with no eigensolver.
+    Both gates here, ``||W^dagger W - 1||_F <= TOL_RECON`` and
+    ``||sum_j e^{i g_j} I_j - W||_F <= TOL_RECON``, are Frobenius: at most
+    sqrt(d) stricter than their spectral-norm versions, and a NaN fails them.
     """
 
     __slots__ = ("w", "basis")
 
     def __init__(self, w: PseudoObservable, basis: ProjectorBasis):
-        defect = unitary_defect(w)
-        if defect > TOL_RECON:
-            raise AlgebraError(f"inducing element is not unitary: {defect:.3e}")
+        _check_orthonormal(w.entries, "inducing element is not unitary")
         _check_same_dim(w, basis)
         if basis.labels is None or not all(-math.pi < g <= math.pi for g in basis.labels):
             raise AlgebraError("generatrix spectrum must lie in (-pi, pi]")
         phases = np.exp(1j * np.array(basis.labels))
-        recon = opnorm(_spectral_apply(basis.frame, phases, basis.ranks()) - w.entries)
-        if recon > TOL_RECON:
-            raise AlgebraError(f"e^(iG) does not reproduce W: residual {recon:.3e}")
+        recon = float(np.linalg.norm(
+            _spectral_apply(basis.frame, phases, basis.ranks()) - w.entries))
+        if not recon <= TOL_RECON:
+            raise AlgebraError(f"e^(iG) does not reproduce W: Frobenius residual {recon:.3e}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "basis", basis)
 
@@ -157,10 +168,13 @@ class Transformation:
 
 
 def from_unitary(w: PseudoObservable) -> Transformation:
-    """Wrap a unitary, extracting its principal-branch generatrix."""
-    defect = unitary_defect(w)
-    if defect > TOL_RECON:
-        raise AlgebraError(f"not unitary: ||W^dagger W - 1|| = {defect:.3e}")
+    """Wrap a unitary, extracting its principal-branch generatrix.
+
+    W is gated first, ``||W^dagger W - 1||_F <= TOL_RECON`` (Frobenius, at
+    most sqrt(d) stricter than the spectral norm; a NaN fails it), before
+    its phases are extracted.
+    """
+    _check_orthonormal(w.entries, "not unitary")
     thetas, vectors = _joint_phases(w)
     reps = np.empty(w.dim)  # one representative phase per column
     for cluster in _cluster_phases(thetas):
@@ -176,7 +190,7 @@ def from_generatrix(g: PseudoObservable) -> Transformation:
     induced unitary is unchanged by the fold.
     """
     frame, means, mults = _spectral_frame(g)
-    w = _spectral_apply(frame, [cmath.exp(1j * lam) for lam in means], mults)
+    w = _spectral_apply(frame, np.exp(1j * means), mults)
     basis = ProjectorBasis._over_frame(frame, mults, [_fold_phase(lam) for lam in means])
     return Transformation(PseudoObservable(w), basis)
 

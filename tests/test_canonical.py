@@ -328,3 +328,9 @@ def test_frame_conjugate_in_rotated_frame(rng):
     # oracle: conjugate the compressed matrix entrywise, then rotate back
     inner = np.conj(u.conj().T @ m @ u)
     assert opnorm(out - u @ inner @ u.conj().T) < 1e-12
+
+
+def test_canonical_pair_passes_the_gates_at_dimension_512():
+    pair = make_canonical_pair(make_position(256, 0.1))
+    assert pair.dim == 512
+    assert pair.exponential_consistency() < 1e-12

@@ -443,3 +443,88 @@ def test_values_are_immutable(rng):
 def test_dimension_floor():
     with pytest.raises(AlgebraError, match="at least 2"):
         PseudoObservable(np.ones((1, 1)))
+
+
+# --- non-finite inputs and Frobenius gates ---------------------------------------------
+
+@pytest.mark.parametrize("entries", [np.full((2, 2), np.nan),
+                                     [[np.inf, 0], [0, 1]],
+                                     [[1, np.nan], [np.nan, 1]]])
+def test_observable_rejects_non_finite_entries(entries):
+    with np.errstate(invalid="ignore"), pytest.raises(AlgebraError, match="not finite"):
+        Observable(entries)
+
+
+def test_real_multiple_stays_observable_without_a_recheck(rng, monkeypatch):
+    from obsalg import core
+
+    a = Observable(random_hermitian(rng, 4).entries, unit_tag="J")
+    monkeypatch.setattr(core, "hermiticity_defect", lambda e: pytest.fail("re-checked"))
+    for scaled in (0.25 * a, a * -3, a * np.float64(2.0), a * complex(1.5)):
+        assert type(scaled) is Observable and scaled.unit_tag == "J"
+        assert np.array_equal(scaled.entries, scaled.entries.conj().T)
+    assert type(a * 1j) is PseudoObservable
+
+
+def test_real_multiple_that_overflows_is_rejected():
+    a = Observable(np.diag([1e300, 1.0]))
+    with pytest.raises(AlgebraError, match="not finite"):
+        1e10 * a
+    with pytest.raises(AlgebraError, match="not finite"):
+        a * float("nan")
+
+
+def test_from_frame_rejects_a_nan_column(rng):
+    frame = np.array(random_unitary(rng, 4).entries)
+    frame[:, 2] = np.nan
+    with pytest.raises(AlgebraError, match="not orthonormal"):
+        ProjectorBasis.from_frame(frame, [1] * 4)
+
+
+def test_spectral_kernel_rejects_an_overflowing_spectrum():
+    big = Observable(np.full((2, 2), 1e308))  # eigenvalue 2e308 overflows
+    with pytest.raises(AlgebraError, match="spectrum is not finite"):
+        spectral_decompose(big)
+
+
+def test_opnorm_is_the_numpy_two_norm(rng):
+    for dim in (2, 5, 16):
+        m = random_matrix(rng, dim).entries
+        assert opnorm(m) == float(np.linalg.norm(m, 2))
+
+
+def test_gram_gate_rejects_every_frame_over_the_spectral_bound():
+    """||X||_F >= ||X||_2: the Frobenius gate rejects whatever the spectral one did."""
+    from obsalg.core import TOL_RECON
+
+    rng = np.random.default_rng(31)
+    rejected = accepted = 0
+    for _ in range(300):
+        dim = int(rng.integers(2, 33))
+        v = random_unitary(rng, dim).entries
+        size = 10 ** rng.uniform(-11.5, -8)
+        if rng.random() < 0.5:  # rank one: the two norms nearly agree
+            x, y = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+            step = np.outer(x / np.linalg.norm(x), y.conj() / np.linalg.norm(y))
+        else:
+            step = random_matrix(rng, dim).entries
+            step = step / np.linalg.norm(step, 2)
+        frame = v + size * step
+        spectral = opnorm(frame.conj().T @ frame - np.eye(dim))
+        try:
+            ProjectorBasis.from_frame(frame, [1] * dim)
+        except AlgebraError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert spectral <= TOL_RECON
+    assert rejected > 50 and accepted > 50
+
+
+def test_reconstruction_gate_does_not_overflow_at_a_huge_radius(rng):
+    """The Frobenius residual of a radius-1e200 operator squares past the float range
+    unless it is scaled first; the spectral gate it replaces passed here."""
+    a = Observable(1e200 * random_hermitian(rng, 6).entries)
+    with np.errstate(over="raise"):
+        dec = spectral_decompose(a)
+    assert len(dec.eigenvalues) == 6

@@ -291,3 +291,28 @@ def test_malformed_inputs_never_crash(source):
 def test_references_time():
     assert references_time(parse("t*Q"))
     assert not references_time(parse(OSC))
+
+
+def test_spectral_function_rejects_a_non_finite_argument(osc_ctx):
+    ctx, _ = osc_ctx
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ExprEvalError, match="finite Hermitian"):
+            evaluate(parse("cos(1e200*Q*1e200*Q)"), ctx)
+
+
+def test_node_hash_is_structural_and_computed_once(monkeypatch):
+    import pickle
+
+    import obsalg.expr as expr_module
+
+    node = parse("(omega/2)*cos(nu*t)*SX + (delta/2)*SZ")
+    first = hash(node)
+    calls = []
+    original = expr_module.Mul.__hash__
+    monkeypatch.setattr(expr_module.Mul, "__hash__",
+                        lambda self: calls.append(self) or original(self))
+    assert hash(node) == first and calls == []  # the root answers from its cache
+    assert hash(parse("(omega/2)*cos(nu*t)*SX + (delta/2)*SZ")) == first
+    restored = pickle.loads(pickle.dumps(node))
+    assert restored == node and "_hash" not in vars(restored)
+    assert hash(restored) == first

@@ -278,3 +278,64 @@ def test_constant_hamiltonian_is_diagonalized_once_per_step_size(monkeypatch):
         assert result.all_pass
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _driven_doc(kind: str, steps: int) -> dict:
+    if kind == "qubit":
+        return rabi_doc(
+            name="driven_qubit", hamiltonian="(omega/2)*cos(nu*t)*SX + (delta/2)*SZ",
+            constants={"omega": 1.0, "delta": 0.5, "nu": 1.3},
+            grid={"tau": 2 * math.pi / 1000, "steps": steps},
+            observables_to_trace={"sz": "SZ", "sx": "SX"}, picture="heisenberg")
+    return {"name": "driven_oscillator", "n": 16, "epsilon": 0.25,
+            "hamiltonian": "P^2/(2*m) + (m*omega^2/2)*Q^2 + F*cos(nu*t)*Q",
+            "constants": {"m": 1.0, "omega": 1.0, "F": 0.5, "nu": 0.9},
+            "initial_state": 0, "grid": {"tau": 0.002, "steps": steps},
+            "observables_to_trace": {"q": "Q", "p": "P"}, "picture": "schrodinger",
+            "seed": 3}
+
+
+def _count_work(monkeypatch) -> dict[str, int]:
+    """Count eigh calls, spectral norms (one SVD each) and Hermiticity checks."""
+    import numpy as np
+
+    from obsalg import core
+
+    counts = {"eigh": 0, "opnorm": 0, "hermiticity_defect": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    modules = [m for key, m in sys.modules.items() if key.startswith("obsalg")]
+    for name in ("opnorm", "hermiticity_defect"):
+        original = getattr(core, name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    return counts
+
+
+@pytest.mark.parametrize("kind, traced_heisenberg", [("qubit", 2), ("oscillator", 0)])
+def test_driven_step_pays_one_eigh_and_bounded_certificates(monkeypatch, kind,
+                                                            traced_heisenberg):
+    """Per grid step of a time-dependent H: one eigh, at most one spectral
+    norm (SVD) for the reported unitary defect plus one per traced Heisenberg
+    residual, and one Hermiticity check of H(t).  Per-step cost is the difference between a
+    100-step and a 50-step run, so the checks run once per run drop out."""
+    counts = _count_work(monkeypatch)
+    totals = []
+    for steps in (50, 100):
+        for key in counts:
+            counts[key] = 0
+        assert run_scenario(config_from_doc(_driven_doc(kind, steps))).all_pass
+        totals.append(dict(counts))
+    per_step = {key: (totals[1][key] - totals[0][key]) / 50 for key in counts}
+    assert per_step["eigh"] == 1
+    assert per_step["opnorm"] <= 1 + traced_heisenberg
+    assert per_step["hermiticity_defect"] <= 1
+    # the run-level checks add a fixed amount, independent of the step count
+    assert totals[0]["eigh"] - 50 == totals[1]["eigh"] - 100 <= 10

@@ -453,3 +453,63 @@ def test_rank_one_projectors_stay_rank_one(rng):
     for p in out:
         rank = int(np.sum(np.linalg.eigvalsh(p.entries) > 1e-8))
         assert rank == 1
+
+
+# --- non-finite inputs, Frobenius gates, large dimension -------------------------
+
+def _nan_unitary(dim: int = 3) -> PseudoObservable:
+    w = np.eye(dim, dtype=complex)
+    w[1, 2] = np.nan
+    return PseudoObservable(w)
+
+
+def test_transformation_rejects_a_nan_w():
+    basis = ProjectorBasis.from_frame(np.eye(3), [3], [0.0])
+    with pytest.raises(AlgebraError, match="not unitary"):
+        Transformation(_nan_unitary(), basis)
+
+
+def test_from_unitary_rejects_a_nan_w():
+    with pytest.raises(AlgebraError, match="not unitary"):
+        from_unitary(_nan_unitary())
+
+
+def test_unitary_exponential_rejects_non_finite_arguments():
+    h = Observable(np.diag([1e10, 1.0]))
+    with pytest.raises(AlgebraError):
+        unitary_exponential(1e300 * h)  # (tau/hbar) H overflows
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(AlgebraError):
+            unitary_exponential(PseudoObservable(np.diag([np.inf, 1.0])))
+        with pytest.raises(AlgebraError):
+            unitary_exponential(Observable([[np.inf, 0], [0, 1]]))
+
+
+def test_evolution_unitary_rejects_an_overflowing_step():
+    from obsalg.evolution import EvolutionEngine, Hamiltonian, TimeGrid
+    from obsalg.expr import EvalContext
+
+    ctx = EvalContext(dim=2, operators={"Z": Observable(np.diag([1.0, -1.0]))},
+                      constants={"c": 1e300})
+    engine = EvolutionEngine(Hamiltonian("c*Z", ctx), TimeGrid(tau=1e10, steps=2))
+    with pytest.raises(AlgebraError, match="not finite"):
+        engine.unitary(0.0)
+
+
+def test_unitary_exponential_returns_a_plain_element_without_a_hermiticity_probe(
+        monkeypatch):
+    from obsalg import core
+
+    g = Observable(np.diag([0.0, math.pi]))  # e^{iG} = diag(1, -1) is Hermitian
+    monkeypatch.setattr(core, "hermiticity_defect", lambda e: pytest.fail("probed"))
+    u = unitary_exponential(g)
+    assert type(u) is PseudoObservable
+    assert opnorm(u.entries - np.diag([1.0, -1.0])) < 1e-15
+
+
+def test_round_trip_passes_the_gates_at_dimension_512():
+    rng = np.random.default_rng(512)
+    g = random_hermitian_with_spectrum(rng, 512, -3.0, 3.0)
+    t = from_unitary(unitary_exponential(g))
+    assert np.sort(t.basis.labels) == pytest.approx(np.linalg.eigvalsh(g.entries),
+                                                    abs=1e-9)
