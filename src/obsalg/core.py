@@ -33,6 +33,7 @@ NaN residual (from a non-finite entry) fails it.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Callable, Mapping, Sequence, Union
 
@@ -71,9 +72,16 @@ def opnorm(m) -> float:
     """Spectral norm; accepts raw arrays and algebra elements.
 
     The largest singular value, read from one LAPACK call: the value of
-    ``np.linalg.norm(m, 2)`` without its dispatch.
+    ``np.linalg.norm(m, 2)`` without its dispatch.  A non-finite entry
+    raises :class:`AlgebraError`; a finite matrix may overflow to inf.
     """
-    return float(np.linalg.svd(np.asarray(getattr(m, "entries", m)), compute_uv=False)[0])
+    try:
+        norm = float(np.linalg.svd(np.asarray(getattr(m, "entries", m)), compute_uv=False)[0])
+    except np.linalg.LinAlgError:  # from a NaN; an inf entry gives a NaN norm
+        norm = math.nan
+    if math.isnan(norm):
+        raise AlgebraError("no spectral norm: the SVD failed on a non-finite entry")
+    return norm
 
 
 def _check_same_dim(a, b) -> None:
@@ -314,15 +322,17 @@ class ProjectorBasis:
         dim = projs[0].dim
         if any(p.dim != dim for p in projs):
             raise DimensionMismatch("projectors of mixed dimensions")
-        herm = max(hermiticity_defect(p.entries) for p in projs)
-        if herm > TOL_HERM:
+        # np.max, unlike Python's max, propagates a NaN defect wherever it is
+        herm = float(np.max([hermiticity_defect(p.entries) for p in projs]))
+        if not herm <= TOL_HERM:
             raise AlgebraError(f"projector not Hermitian: defect {herm:.3e}")
-        idem, blocks = 0.0, []
+        idems, blocks = [], []
         for p in projs:
             w, v = np.linalg.eigh(p.entries)
-            idem = max(idem, float(np.max(np.abs(w * w - w))))  # = ||P^2 - P||
+            idems.append(np.max(np.abs(w * w - w)))  # = ||P^2 - P||
             blocks.append(v[:, w > 0.5])
-        if idem > TOL_RECON:
+        idem = float(np.max(idems))
+        if not idem <= TOL_RECON:
             raise AlgebraError(f"projector not idempotent: residual {idem:.3e}")
         sizes = [b.shape[1] for b in blocks]
         if sum(sizes) != dim:
@@ -518,11 +528,16 @@ def apply_function(f: FunctionLike, a: PseudoObservable) -> PseudoObservable:
     when the result is Hermitian (real-valued ``f``), otherwise a plain
     element (e.g. complex phases).
     """
+    return _wrap_like(_function_entries(f, a), a)
+
+
+def _function_entries(f: FunctionLike, a: PseudoObservable) -> np.ndarray:
+    """The entries of :func:`apply_function`, with no Hermiticity probe of the result."""
     frame, means, mults = _spectral_frame(a)
     eigs = means.tolist()
     radius = max((abs(x) for x in eigs), default=0.0)
     values = _function_values(f, eigs, GROUPING_TOL * max(1.0, radius))
-    return _wrap_like(_spectral_apply(frame, values, mults), a)
+    return _spectral_apply(frame, values, mults)
 
 
 class DyadBasis:

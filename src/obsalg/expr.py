@@ -39,8 +39,8 @@ from .core import (
     AlgebraError,
     Observable,
     PseudoObservable,
+    _function_entries,
     _wrap_like,
-    apply_function,
     hermiticity_defect,
     TOL_HERM,
 )
@@ -429,7 +429,7 @@ def _eval(node: Node, ctx: EvalContext):
                 raise ExprEvalError(
                     f"spectral function {node.func!r} requires a finite Hermitian "
                     f"argument (defect {defect:.3e})")
-            return apply_function(f, Observable._trusted(arg)).entries
+            return _function_entries(f, Observable._trusted(arg))
         with np.errstate(over="ignore", invalid="ignore"):
             value = complex(f(complex(arg)))
         if not cmath.isfinite(value):

@@ -208,9 +208,10 @@ def build_engine(config: ScenarioConfig) -> EvolutionEngine:
     hamiltonian = Hamiltonian(config.hamiltonian, ctx, config.hbar)
     # H(t0) and the step generator must be finite (checked here, so overflow
     # is not also warned about); an expression that fails to evaluate stays
-    # a runtime failure
+    # a runtime failure.  The value is read unvalidated, since an Observable
+    # rejects non-finite entries before this check could name the field.
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = hamiltonian.evaluate(config.grid.t0).entries
+        h0 = hamiltonian.value(hamiltonian.expr, config.grid.t0).entries
         generator = (config.grid.tau / config.hbar) * h0
     if not np.isfinite(h0).all():
         raise SchemaError("config.hamiltonian", "H(t0) has non-finite entries")

@@ -4,13 +4,12 @@ A transformation acts as tau(P) = W P W^dagger for a unitary W = e^{iG}.
 The Hermitian generatrix G is canonicalized to the principal branch: every
 eigenvalue in (-pi, pi], an eigenvalue at exactly -pi folds to +pi.
 
-Extraction path: the real and imaginary parts of a unitary commute, so they
-are diagonalized in a simultaneous eigenbasis -- first the real part, then,
-inside each of its eigenvalue clusters, the compressed imaginary part.  (A
-single linear combination R + c I is not used: c-weighted phase collisions
-cos t + c sin t = cos t' + c sin t' would merge distinct phases.)  The phase
-of each joint eigenvector is atan2(sin, cos); phases are then re-clustered by
-angular distance on the unit circle to honour degenerate unitaries.
+Extraction path: one Cayley transform (Higham, *Functions of Matrices*,
+2008).  W is rotated by a phase e^{-i phi} that puts -1 in a spectral gap,
+so C = i(1 - W')(1 + W')^{-1} is Hermitian with eigenvalues tan(theta'/2);
+one ``eigh`` of C gives the eigenvectors and the rotated phases
+2 atan(x), ascending in (-pi, pi).  No phase lies near -1 in that frame,
+so phases are clustered by angular distance with no seam at +/-pi.
 """
 
 from __future__ import annotations
@@ -68,55 +67,39 @@ def _fold_phase(theta: float) -> float:
     return math.pi if folded <= -math.pi else folded
 
 
-def _joint_phases(w: PseudoObservable):
-    """Phases and simultaneous eigenvectors of a unitary.
+def _cayley_eigen(e: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Principal-branch phases, one per column, and the eigenvector frame of a unitary.
 
-    Returns (thetas, vectors) with one entry per dimension, thetas in the
-    principal branch.
+    The phases lie among the 2d points +/-arccos(eig(Re W)), whose widest
+    circular gap (at least pi/d) holds none.  With its midpoint rotated onto
+    -1, the phases of W' = e^{-i phi} W stay pi/(2d) from -1, so
+    ``||(1 + W')^{-1}|| <= 1/(2 sin(pi/(4d)))``, and the Cayley transform
+    C = i(1 - W')(1 + W')^{-1} has eigenvalues x = tan(theta'/2).  Its
+    angles 2 atan(x) ascend in (-pi, pi) and are clustered within
+    ``GROUPING_TOL``.  ``eigh`` is called directly: the kernel's clustering
+    scales with C's radius, up to about 4d/pi, and would merge distinct phases.
     """
-    e = w.entries
-    re = (e + e.conj().T) / 2
-    im = (e - e.conj().T) / 2j
-    wr, vr = np.linalg.eigh(re)
-    gap = GROUPING_TOL * max(1.0, float(np.max(np.abs(wr))))
-    thetas: list[float] = []
-    vectors = np.empty_like(vr)
-    start = 0
-    while start < len(wr):
-        stop = start + 1
-        while stop < len(wr) and wr[stop] - wr[stop - 1] <= gap:
-            stop += 1
-        block = vr[:, start:stop]
-        compressed = block.conj().T @ im @ block
-        wi, vi = np.linalg.eigh((compressed + compressed.conj().T) / 2)
-        joint = block @ vi
-        vectors[:, start:stop] = joint
-        for col, beta in zip(joint.T, wi):
-            alpha = float(np.real(col.conj() @ re @ col))
-            unit_residual = abs(alpha ** 2 + float(beta) ** 2 - 1.0)
-            if unit_residual > 1e3 * TOL_RECON:
-                raise AlgebraError(
-                    f"coefficient relation cos^2+sin^2=1 violated by {unit_residual:.3e}")
-            thetas.append(_fold_phase(math.atan2(float(beta), alpha)))
-        start = stop
-    return np.array(thetas), vectors
-
-
-def _cluster_phases(thetas: np.ndarray) -> list[list[int]]:
-    """Cluster phases by angular distance, merging across the +/-pi seam."""
-    order = np.argsort(thetas)
-    clusters: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        prev = clusters[-1][-1]
-        if thetas[idx] - thetas[prev] <= GROUPING_TOL:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    if len(clusters) > 1:
-        seam = 2 * math.pi - (thetas[clusters[-1][-1]] - thetas[clusters[0][0]])
-        if seam <= GROUPING_TOL:
-            clusters[0] = clusters.pop() + clusters[0]
-    return clusters
+    d = e.shape[0]
+    arcs = np.arccos(np.clip(np.linalg.eigvalsh(e + e.conj().T) / 2, -1.0, 1.0))
+    points = np.sort(np.concatenate([-arcs, arcs]))
+    gaps = np.diff(points, append=points[0] + 2 * math.pi)
+    j = int(np.argmax(gaps))
+    phi = float(points[j] + gaps[j] / 2 + math.pi)
+    diagonal = np.diag_indices(d)
+    plus = e * np.exp(-1j * phi)  # W', then 1 + W' in place: each d x d copy adds to peak memory
+    minus = -plus
+    plus[diagonal] += 1
+    minus[diagonal] += 1
+    x = np.linalg.solve(plus, minus)  # (1 - W')(1 + W')^{-1}: the factors commute
+    del plus, minus
+    x -= x.conj().T
+    x *= 0.5j  # the Hermitian part of C = iX
+    tangents, frame = np.linalg.eigh(x)
+    alphas = 2 * np.arctan(tangents)
+    starts = np.flatnonzero(np.diff(alphas, prepend=-np.inf) > GROUPING_TOL)
+    mults = np.diff(np.append(starts, d))
+    labels = [_fold_phase(phi + mean) for mean in np.add.reduceat(alphas, starts) / mults]
+    return np.repeat(labels, mults).tolist(), _frozen(frame)
 
 
 class Transformation:
@@ -175,12 +158,8 @@ def from_unitary(w: PseudoObservable) -> Transformation:
     its phases are extracted.
     """
     _check_orthonormal(w.entries, "not unitary")
-    thetas, vectors = _joint_phases(w)
-    reps = np.empty(w.dim)  # one representative phase per column
-    for cluster in _cluster_phases(thetas):
-        reps[cluster] = _fold_phase(float(np.angle(np.mean(np.exp(1j * thetas[cluster])))))
-    basis = ProjectorBasis.from_frame(_frozen(vectors), [1] * w.dim, reps)
-    return Transformation(w, basis)
+    labels, frame = _cayley_eigen(w.entries)
+    return Transformation(w, ProjectorBasis.from_frame(frame, [1] * w.dim, labels))
 
 
 def from_generatrix(g: PseudoObservable) -> Transformation:

@@ -54,6 +54,19 @@ def test_mistyped_field_is_a_validation_error(tmp_path, capsys, field, value):
     assert f"config.{field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [{"epsilon": 1e-300}, {"epsilon": 1.0, "hbar": 1e300}])
+def test_overflowing_hamiltonian_is_a_validation_error(tmp_path, capsys, fields):
+    # P ~ hbar/epsilon, so H = P^2/(2*m) overflows at t0
+    doc = free_particle_doc()
+    doc["n"], doc["initial_state"] = 2, 0
+    for field, value in fields.items():
+        edited(doc, field, value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "config.hamiltonian" in capsys.readouterr().err
+
+
 def test_overflowing_amplitudes_report_only_the_validation_error(tmp_path):
     # a subprocess, so the interpreter's own warning filters decide what reaches stderr
     path = tmp_path / "config.json"

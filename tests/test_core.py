@@ -493,6 +493,24 @@ def test_opnorm_is_the_numpy_two_norm(rng):
         assert opnorm(m) == float(np.linalg.norm(m, 2))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_norm_of_a_non_finite_element_is_an_algebra_error(value):
+    p = PseudoObservable([[value, 0], [0, 1]])
+    base = ProjectorBasis.from_frame(np.eye(2), [1, 1])
+    with np.errstate(invalid="ignore"):
+        for call in (p.norm, lambda: p.distance(PseudoObservable.identity(2)),
+                     lambda: dyad_basis_from(base, p)):
+            with pytest.raises(AlgebraError, match="no spectral norm"):
+                call()
+    assert opnorm(np.full((2, 2), 1e308)) == np.inf  # finite entries, norm overflows
+
+
+def test_projector_basis_rejects_a_nan_projector_that_is_not_first():
+    with pytest.raises(AlgebraError, match="not Hermitian: defect nan"):
+        ProjectorBasis([Observable(np.diag([1.0, 0.0])),
+                        PseudoObservable([[0, 0], [0, np.nan]])])
+
+
 def test_gram_gate_rejects_every_frame_over_the_spectral_bound():
     """||X||_F >= ||X||_2: the Frobenius gate rejects whatever the spectral one did."""
     from obsalg.core import TOL_RECON

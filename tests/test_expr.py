@@ -300,6 +300,24 @@ def test_spectral_function_rejects_a_non_finite_argument(osc_ctx):
             evaluate(parse("cos(1e200*Q*1e200*Q)"), ctx)
 
 
+def test_spectral_call_on_a_matrix_probes_hermiticity_twice(monkeypatch):
+    # once for the argument, once for the value; the spectral result is not probed
+    from obsalg import core
+
+    import obsalg.expr as expr_module
+
+    ctx = EvalContext(dim=2, operators={"Z": Observable(np.diag([1.0, -1.0]))})
+    calls = []
+    original = core.hermiticity_defect
+    for module in (core, expr_module):
+        monkeypatch.setattr(module, "hermiticity_defect",
+                            lambda e: calls.append(e) or original(e))
+    value = evaluate(parse("cos(Z)"), ctx)
+    assert len(calls) == 2
+    assert type(value) is Observable
+    assert np.array_equal(value.entries, np.cos(1.0) * np.eye(2))
+
+
 def test_node_hash_is_structural_and_computed_once(monkeypatch):
     import pickle
 

@@ -513,3 +513,45 @@ def test_round_trip_passes_the_gates_at_dimension_512():
     t = from_unitary(unitary_exponential(g))
     assert np.sort(t.basis.labels) == pytest.approx(np.linalg.eigvalsh(g.entries),
                                                     abs=1e-9)
+
+
+# --- Cayley extraction: near-mirror phases, the audit seeds, angular clustering ---
+
+@pytest.mark.parametrize("seed", range(10))
+def test_near_mirror_generatrix_round_trips_through_from_unitary_and_compose(seed):
+    # eigenphases 0.9 and -0.9 + 6e-8 are near mirror images, so Re W has a
+    # near-double eigenvalue cos(0.9) whose eigenvectors it cannot separate
+    u = random_unitary(np.random.default_rng(seed), 4).entries
+    g = Observable((u * np.array([0.9, -0.9 + 6e-8, 0.3, -2.0])) @ u.conj().T)
+    t = from_generatrix(g)
+    for recovered in (from_unitary(t.w), compose(t, Transformation.identity(4))):
+        assert opnorm(recovered.generatrix.entries - g.entries) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, dim", [(20, 16), (194, 4), (212, 16), (2022, 16)])
+def test_audit_passes_on_near_mirror_seeds(seed, dim):
+    from obsalg.audit import run_audit
+
+    assert run_audit([dim], seed)["all_pass"]
+
+
+def test_round_trip_at_dimension_512_is_near_roundoff():
+    rng = np.random.default_rng([0, 512])  # the generatrix suite's stream at d=512
+    for _ in range(3):
+        g = random_hermitian_with_spectrum(rng, 512, -math.pi + 1e-3, math.pi - 1e-3)
+    assert from_unitary(unitary_exponential(g)).generatrix.distance(g) <= 1e-11
+
+
+def test_phases_cluster_by_angle_not_by_the_cayley_radius():
+    # every phase in [-2.9, 2.9], so the rotation is the identity and the
+    # Cayley radius is tan(1.45) ~ 8: a clustering gap scaled by that radius
+    # would merge the pair 3e-9 apart, which the angular rule keeps distinct
+    phases = np.concatenate([[0.0, 3e-9, 1.0, 1.0 + 1e-12], np.linspace(-2.9, 2.9, 60)])
+    u = random_unitary(np.random.default_rng(64), 64).entries
+    labels = np.array(from_unitary(PseudoObservable((u * np.exp(1j * phases))
+                                                    @ u.conj().T)).basis.labels)
+    split = np.unique(labels[np.abs(labels) < 1e-6])
+    assert len(split) == 2 and split[1] - split[0] == pytest.approx(3e-9, abs=1e-12)
+    merged = labels[np.abs(labels - 1.0) < 1e-6]
+    assert len(merged) == 2 and merged[0] == merged[1]
+    assert merged[0] == pytest.approx(1.0 + 5e-13, abs=1e-12)
