@@ -420,6 +420,56 @@ def test_dyads_reject_annihilated_core():
         dyad_basis_from(basis, np.diag([1.0, 1.0]).astype(complex))
 
 
+def test_dyads_reject_a_diagonal_phase_other_than_one():
+    basis = ProjectorBasis.from_frame(np.eye(2), [1, 1])
+    core = np.array([[-1.0, 1.0], [1.0, 1.0]], dtype=complex)  # Gamma_00 = -I_0
+    with pytest.raises(AlgebraError, match=r"Gamma\[0\]\[0\] differs from base projector"):
+        dyad_basis_from(basis, core)
+
+
+def test_dyads_reject_an_indexed_family_that_breaks_the_pairing():
+    basis = ProjectorBasis.from_frame(np.eye(2), [1, 1])
+    ones = np.ones((2, 2), dtype=complex)
+    cores = {(0, 0): ones, (0, 1): ones, (1, 0): -ones, (1, 1): ones}
+    with pytest.raises(AlgebraError, match=r"Gamma\[0\]\[1\]\^dagger != Gamma\[1\]\[0\]"):
+        dyad_basis_from(basis, cores)
+
+
+def test_dyads_reject_a_family_that_breaks_the_chain_rule(rng):
+    u = random_unitary(rng, 3).entries
+    basis = ProjectorBasis.from_frame(u, [1, 1, 1])
+    # Hermitian with a unit diagonal, but Gamma_01 Gamma_12 = -Gamma_02
+    signs = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1]])
+    cores = [[signs[j, k] * np.outer(u[:, j], u[:, k].conj()) for k in range(3)]
+             for j in range(3)]
+    with pytest.raises(AlgebraError,
+                       match=r"Gamma\[0\]\[1\] Gamma\[1\]\[2\] != Gamma\[0\]\[2\]"):
+        dyad_basis_from(basis, cores)
+
+
+def test_dyads_reject_a_non_elementary_base():
+    basis = ProjectorBasis.from_frame(np.eye(3), [1, 2])
+    with pytest.raises(AlgebraError, match="elementary"):
+        dyad_basis_from(basis, np.ones((3, 3), dtype=complex))
+
+
+def test_dyads_from_indexed_families_match_the_shared_core(rng):
+    u = random_unitary(rng, 4).entries
+    basis = ProjectorBasis.from_frame(u, [1] * 4)
+    v = u @ np.exp(1j * rng.uniform(-np.pi, np.pi, size=4))
+    core = np.outer(v, v.conj())
+    weights = rng.uniform(0.5, 2.0, size=(4, 4))  # positive, so the phases are v's
+    shared = dyad_basis_from(basis, core)
+    mapping = dyad_basis_from(basis, {(j, k): PseudoObservable(weights[j, k] * core)
+                                      for j in range(4) for k in range(4)})
+    nested = dyad_basis_from(basis, [[weights[j, k] * core for k in range(4)]
+                                     for j in range(4)])
+    for dy in (mapping, nested):
+        for j in range(4):
+            for k in range(4):
+                assert opnorm(dy[j, k].entries - shared[j, k].entries) < 1e-12
+
+
 # --- misc type behaviour ------------------------------------------------------
 
 def test_observable_rejects_non_hermitian(rng):

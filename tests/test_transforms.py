@@ -271,6 +271,34 @@ def test_transform_dyad_basis(rng):
         assert out[j, j].distance(apply(t, basis[j])) < 1e-10
 
 
+def test_dyads_match_the_dense_formula_and_move_by_apply():
+    """Gamma_jk = I_j C_jk I_k / ||I_j C_jk I_k||_F, written out in NumPy, for a
+    shared rank-one core and for per-pair cores whose extra terms the flanking
+    projectors annihilate; a transported dyad is the conjugated one."""
+    rng = np.random.default_rng(12)
+    for d in range(2, 7):
+        b = random_unitary(rng, d).entries
+        basis = ProjectorBasis.from_frame(b, [1] * d)
+        projs = [np.outer(b[:, j], b[:, j].conj()) for j in range(d)]
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        rank_one = np.outer(v, v.conj())
+        indexed = {(j, k): rng.uniform(0.5, 2.0) * rank_one
+                   + (np.eye(d) - projs[j]) @ random_matrix(rng, d).entries
+                   @ (np.eye(d) - projs[k])
+                   for j in range(d) for k in range(d)}
+        t = from_unitary(random_unitary(rng, d))
+        for cores in (rank_one, indexed):
+            dy = dyad_basis_from(basis, cores)
+            moved = transform_basis(t, dy)
+            for j in range(d):
+                for k in range(d):
+                    core = cores if isinstance(cores, np.ndarray) else cores[(j, k)]
+                    sandwich = projs[j] @ core @ projs[k]
+                    expected = sandwich / np.linalg.norm(sandwich)
+                    assert opnorm(dy[j, k].entries - expected) < 1e-12
+                    assert opnorm(moved[j, k].entries - apply(t, dy[j, k]).entries) < 1e-12
+
+
 def _spectral_basis_with_repeat(rng, d):
     u = random_unitary(rng, d).entries
     vals = np.linspace(-1.0, 1.0, d)
