@@ -409,30 +409,30 @@ class ProjectorBasis:
 
 
 class SpectralDecomposition:
-    """A = sum_j a_j I_j with strictly increasing distinct eigenvalues."""
+    """A = sum_j a_j I_j: a projector basis labelled by strictly increasing eigenvalues."""
 
-    __slots__ = ("eigenvalues", "basis", "multiplicities")
+    __slots__ = ("basis",)
 
-    def __init__(self, eigenvalues: Sequence[float], basis: ProjectorBasis,
-                 multiplicities: Sequence[int]):
-        eigs = tuple(float(x) for x in eigenvalues)
-        mults = tuple(int(m) for m in multiplicities)
-        if not (len(eigs) == len(basis) == len(mults)):
-            raise AlgebraError("eigenvalues, projectors and multiplicities must align")
-        if any(b <= a for a, b in zip(eigs, eigs[1:])):
-            raise AlgebraError("eigenvalues must be strictly increasing")
-        if sum(mults) != basis.dim:
-            raise AlgebraError("multiplicities must sum to the dimension")
-        object.__setattr__(self, "eigenvalues", eigs)
+    def __init__(self, basis: ProjectorBasis):
+        eigs = basis.labels
+        if eigs is None or any(b <= a for a, b in zip(eigs, eigs[1:])):
+            raise AlgebraError("eigenvalues must be strictly increasing basis labels")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "multiplicities", mults)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralDecomposition is immutable")
 
+    @property
+    def eigenvalues(self) -> tuple[float, ...]:
+        return self.basis.labels
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return self.basis.ranks()
+
     def reconstruct(self) -> Observable:
         basis = self.basis
-        return Observable(_spectral_apply(basis.frame, self.eigenvalues, basis.ranks()))
+        return Observable(_spectral_apply(basis.frame, basis.labels, basis.ranks()))
 
 
 def _spectral_apply(frame: np.ndarray, values, mults) -> np.ndarray:
@@ -485,9 +485,7 @@ def spectral_decompose(a: PseudoObservable) -> SpectralDecomposition:
     :class:`ProjectorBasis`), so no projector is built until it is indexed.
     """
     frame, means, mults = _spectral_frame(a)
-    eigs = means.tolist()
-    basis = ProjectorBasis._over_frame(frame, mults, labels=eigs)
-    return SpectralDecomposition(eigs, basis, mults)
+    return SpectralDecomposition(ProjectorBasis._over_frame(frame, mults, means.tolist()))
 
 
 FunctionLike = Union[Callable[[float], complex], Mapping[float, complex],
@@ -540,26 +538,38 @@ def _function_entries(f: FunctionLike, a: PseudoObservable) -> np.ndarray:
     return _spectral_apply(frame, values, mults)
 
 
-class DyadBasis:
-    """Family Gamma_jk bridging an elementary projector basis.
+def _require(ok: np.ndarray, message: Callable[..., str]) -> None:
+    """Raise ``message(*index)`` at the first index, row-major, where ``ok`` fails."""
+    bad = np.argwhere(~ok)
+    if len(bad):
+        raise AlgebraError(message(*(int(i) for i in bad[0])))
 
-    Validation checks the defining identities: Gamma_jj = I_j, the Hermitian
-    pairing Gamma_jk^dagger = Gamma_kj, flanking (Gamma_jk = I_j Gamma_jk I_k)
-    and the chain rule Gamma_jl Gamma_lk = Gamma_jk.  Together with the mutual
-    exclusivity of the base these imply the full matrix-unit rule
-    Gamma_jl Gamma_l'k = delta_{l,l'} Gamma_jk at tolerance.
+
+class DyadBasis:
+    """Family Gamma_jk = p_jk b_j b_k^dagger bridging an elementary projector basis.
+
+    Stored as the base, whose frame column b_j spans I_j, and the m x m array
+    ``phases`` of unit phases p_jk: O(d^2) memory.  ``dy[j, k]`` builds one
+    dyad on indexing.  Validation checks the defining identities on the
+    phases, within ``TOL_RECON``: Gamma_jj = I_j (p_jj = 1), the Hermitian
+    pairing Gamma_jk^dagger = Gamma_kj (p_kj = conj(p_jk)) and the chain rule
+    Gamma_jl Gamma_lk = Gamma_jk (p_jl p_lk = p_jk).  Each residual is the
+    spectral norm of its matrix identity's residual, up to the base's Gram
+    residual; flanking (Gamma_jk = I_j Gamma_jk I_k) holds by construction.
+    Together with the mutual exclusivity of the base these imply the full
+    matrix-unit rule Gamma_jl Gamma_l'k = delta_{l,l'} Gamma_jk at tolerance.
     """
 
-    __slots__ = ("dyads", "base")
+    __slots__ = ("base", "phases")
 
-    def __init__(self, dyads: Sequence[Sequence[PseudoObservable]],
-                 base: ProjectorBasis):
-        grid = tuple(tuple(row) for row in dyads)
-        m = len(base)
-        if len(grid) != m or any(len(row) != m for row in grid):
+    def __init__(self, base: ProjectorBasis, phases):
+        if not base.is_elementary():
+            raise AlgebraError("dyad bases require an elementary (rank-1) projector basis")
+        table = np.array(phases, dtype=complex)
+        if table.shape != (len(base), len(base)):
             raise AlgebraError("dyads must form an m x m family over the base")
-        object.__setattr__(self, "dyads", grid)
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "phases", _frozen(table))
         self._validate()
 
     def __setattr__(self, name, value):
@@ -567,35 +577,22 @@ class DyadBasis:
 
     def __getitem__(self, jk: tuple[int, int]) -> PseudoObservable:
         j, k = jk
-        return self.dyads[j][k]
+        frame = self.base.frame
+        return PseudoObservable(np.outer(self.phases[j, k] * frame[:, j], frame[:, k].conj()))
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def _validate(self) -> None:
-        base = list(self.base)  # a frame-backed base builds each projector on indexing
-        m = len(base)
-        scale = max(1.0, max(d.norm() for row in self.dyads for d in row))
-        for j in range(m):
-            if self.dyads[j][j].distance(base[j]) > TOL_RECON * scale:
-                raise AlgebraError(f"Gamma[{j}][{j}] differs from base projector")
-        for j in range(m):
-            for k in range(m):
-                g = self.dyads[j][k]
-                if g.dagger().distance(self.dyads[k][j]) > TOL_RECON * scale:
-                    raise AlgebraError(f"Gamma[{j}][{k}]^dagger != Gamma[{k}][{j}]")
-                flank = base[j].entries @ g.entries @ base[k].entries
-                if opnorm(flank - g.entries) > TOL_RECON * scale:
-                    raise AlgebraError(f"Gamma[{j}][{k}] not flanked by its projectors")
-        for j in range(m):
-            for l in range(m):
-                left = self.dyads[j][l].entries
-                for k in range(m):
-                    prod = left @ self.dyads[l][k].entries
-                    if opnorm(prod - self.dyads[j][k].entries) > TOL_RECON * scale:
-                        raise AlgebraError(
-                            f"Gamma[{j}][{l}] Gamma[{l}][{k}] != Gamma[{j}][{k}]")
+        p = self.phases  # a NaN fails every check
+        _require(np.abs(np.diagonal(p) - 1) <= TOL_RECON,
+                 lambda j: f"Gamma[{j}][{j}] differs from base projector")
+        _require(np.abs(p.conj() - p.T) <= TOL_RECON,
+                 lambda j, k: f"Gamma[{j}][{k}]^dagger != Gamma[{k}][{j}]")
+        for j in range(len(p)):  # one (l, k) slice per j keeps memory O(m^2)
+            _require(np.abs(p[j, :, None] * p - p[j]) <= TOL_RECON,
+                     lambda l, k: f"Gamma[{j}][{l}] Gamma[{l}][{k}] != Gamma[{j}][{k}]")
 
 
 CoresLike = Union[PseudoObservable, np.ndarray,
@@ -604,37 +601,30 @@ CoresLike = Union[PseudoObservable, np.ndarray,
 
 
 def dyad_basis_from(base: ProjectorBasis, cores: CoresLike) -> DyadBasis:
-    """Build the dyad family Gamma_jk = I_j C_jk I_k over an elementary basis.
+    """Build Gamma_jk = I_j C_jk I_k / ||I_j C_jk I_k||_F over an elementary basis.
 
     ``cores`` is a single element shared by every pair or a (j, k)-indexed
-    family.  Each sandwiched core is normalized to Frobenius norm one; cores
-    must be phase-consistent for the result to satisfy the dyad identities
-    (any rank-one core C = v v^dagger with v non-orthogonal to every basis
-    vector works, e.g. the all-ones matrix in the basis frame).
+    family.  I_j C_jk I_k = c_jk b_j b_k^dagger with c_jk = b_j^dagger C_jk b_k,
+    so only the phase c_jk / |c_jk| is kept (see :class:`DyadBasis`); a shared
+    core costs one product B^dagger C B.  Cores must be phase-consistent for
+    the result to satisfy the dyad identities (any rank-one core C = v v^dagger
+    with v non-orthogonal to every basis vector works, e.g. the all-ones
+    matrix in the basis frame).
     """
-    if not base.is_elementary():
-        raise AlgebraError("dyad bases require an elementary (rank-1) projector basis")
-    projs = [p.entries for p in base]  # built once, not once per pair
-    m = len(projs)
-
-    def core_at(j: int, k: int) -> np.ndarray:
-        if isinstance(cores, PseudoObservable):
-            return cores.entries
-        if isinstance(cores, np.ndarray):
-            return cores
-        if isinstance(cores, Mapping):
-            return np.asarray(getattr(cores[(j, k)], "entries", cores[(j, k)]))
-        return np.asarray(getattr(cores[j][k], "entries", cores[j][k]))
-
-    rows = []
-    for j in range(m):
-        row = []
-        for k in range(m):
-            sandwich = projs[j] @ core_at(j, k) @ projs[k]
-            nrm = float(np.linalg.norm(sandwich))
-            if nrm <= 1e-12 * max(1.0, float(np.linalg.norm(core_at(j, k)))):
-                raise AlgebraError(
-                    f"core for pair ({j}, {k}) is annihilated by the flanking projectors")
-            row.append(PseudoObservable(sandwich / nrm))
-        rows.append(row)
-    return DyadBasis(rows, base)
+    frame, m = base.frame, len(base)
+    if isinstance(cores, (PseudoObservable, np.ndarray)):
+        core = _coerce_entries(cores)
+        flanked = frame.conj().T @ core @ frame  # c_jk for every pair at once
+        norms = np.linalg.norm(core)
+    else:
+        flanked, norms = np.empty((m, m), dtype=complex), np.empty((m, m))
+        for j, k in np.ndindex(m, m):
+            core = _coerce_entries(cores[(j, k)] if isinstance(cores, Mapping) else cores[j][k])
+            flanked[j, k] = frame[:, j].conj() @ core @ frame[:, k]
+            norms[j, k] = np.linalg.norm(core)
+    magnitudes = np.abs(flanked)  # ||I_j C_jk I_k||: one singular value, as Frobenius
+    _require(np.isfinite(magnitudes),
+             lambda j, k: f"no spectral norm: the flanked core for pair ({j}, {k}) is not finite")
+    _require(magnitudes > 1e-12 * np.maximum(1.0, norms),
+             lambda j, k: f"core for pair ({j}, {k}) is annihilated by the flanking projectors")
+    return DyadBasis(base, flanked / magnitudes)

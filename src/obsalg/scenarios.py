@@ -206,18 +206,24 @@ def build_engine(config: ScenarioConfig) -> EvolutionEngine:
     constants.setdefault("hbar", config.hbar)
     ctx = EvalContext(dim=dim, operators=operators, constants=constants)
     hamiltonian = Hamiltonian(config.hamiltonian, ctx, config.hbar)
-    # H(t0) and the step generator must be finite (checked here, so overflow
-    # is not also warned about); an expression that fails to evaluate stays
-    # a runtime failure.  The value is read unvalidated, since an Observable
-    # rejects non-finite entries before this check could name the field.
+    # H(t0), the step generator and, in the Heisenberg picture, [O(t0), H(t0)]
+    # for each traced O must be finite (checked here, so overflow is not also
+    # warned about); an expression that fails to evaluate stays a runtime
+    # failure.  Values are read unvalidated through H's memo: an Observable
+    # would reject non-finite entries before this check could name the field.
     with np.errstate(over="ignore", invalid="ignore"):
         h0 = hamiltonian.value(hamiltonian.expr, config.grid.t0).entries
-        generator = (config.grid.tau / config.hbar) * h0
-    if not np.isfinite(h0).all():
-        raise SchemaError("config.hamiltonian", "H(t0) has non-finite entries")
-    if not np.isfinite(generator).all():
-        raise SchemaError("config.grid.tau", "the step generator (tau/hbar) H(t0) "
-                                             "has non-finite entries")
+        if not np.isfinite(h0).all():
+            raise SchemaError("config.hamiltonian", "H(t0) has non-finite entries")
+        if not np.isfinite((config.grid.tau / config.hbar) * h0).all():
+            raise SchemaError("config.grid.tau", "the step generator (tau/hbar) H(t0) "
+                                                 "has non-finite entries")
+        for name, src in (config.observables_to_trace.items()
+                          if config.picture == "heisenberg" else ()):
+            o = hamiltonian.value(parse(src), config.grid.t0).entries
+            if not np.isfinite(o @ h0 - h0 @ o).all():
+                raise SchemaError("config.hamiltonian", f"[O(t0), H(t0)] for the traced "
+                                                        f"{name!r} has non-finite entries")
     return EvolutionEngine(hamiltonian, config.grid, config.picture)
 
 

@@ -199,16 +199,15 @@ def transform_basis(t: Transformation, basis):
 
     A projector basis moves as its frame, W V with the same blocks and labels,
     under the Gram certificate of :meth:`ProjectorBasis.from_frame`; no
-    projector is built.  Dyads are moved by :func:`apply` and revalidated.
+    projector is built.  A dyad basis moves its base the same way and keeps
+    its phases, since W p_jk b_j b_k^dagger W^dagger = p_jk (W b_j)(W b_k)^dagger:
+    one W V product, and no dyad is built.
     """
     if isinstance(basis, ProjectorBasis):
         return ProjectorBasis.from_frame(t.w.entries @ basis.frame, basis.ranks(),
                                          basis.labels)
     if isinstance(basis, DyadBasis):
-        new_base = transform_basis(t, basis.base)
-        rows = [[apply(t, basis[j, k]) for k in range(len(new_base))]
-                for j in range(len(new_base))]
-        return DyadBasis(rows, new_base)
+        return DyadBasis(transform_basis(t, basis.base), basis.phases)
     raise AlgebraError(f"cannot transform {type(basis).__name__}")
 
 

@@ -67,6 +67,19 @@ def test_overflowing_hamiltonian_is_a_validation_error(tmp_path, capsys, fields)
     assert "config.hamiltonian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("hbar", 1e150), ("epsilon", 1e-150)])
+def test_overflowing_heisenberg_commutator_is_a_validation_error(tmp_path, capsys,
+                                                                 field, value):
+    # H(t0) is finite, but [P, H(t0)] ~ P^3 overflows in the Heisenberg picture
+    doc = free_particle_doc()
+    doc["n"], doc["initial_state"], doc["picture"] = 2, 0, "heisenberg"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(edited(doc, field, value)))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.hamiltonian" in err and "'p'" in err
+
+
 def test_overflowing_amplitudes_report_only_the_validation_error(tmp_path):
     # a subprocess, so the interpreter's own warning filters decide what reaches stderr
     path = tmp_path / "config.json"

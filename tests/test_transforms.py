@@ -335,6 +335,23 @@ def test_transform_basis_memory_is_quadratic_in_dim(rng):
     assert peak <= 16 * d * d * 16
 
 
+def test_dyad_basis_memory_is_quadratic_in_dim(rng):
+    # one complex d x d matrix is 16 KiB at d = 32; a dense matrix per dyad
+    # would need 1024 of them (16 MiB), so the bound allows 64
+    d = 32
+    basis = ProjectorBasis.from_frame(random_unitary(rng, d).entries, [1] * d)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    t = from_unitary(random_unitary(rng, d))
+    tracemalloc.start()
+    try:
+        out = transform_basis(t, dyad_basis_from(basis, np.outer(v, v.conj())))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.base.frame.shape == (d, d)
+    assert peak <= 2 ** 20
+
+
 # --- invariance ---------------------------------------------------------------
 
 def test_generatrix_is_invariant(rng):
