@@ -17,6 +17,7 @@ from pathlib import Path
 from .audit import run_audit
 from .canonical import commutator_limit_probe
 from .core import AlgebraError
+from .evolution import TimeGrid
 from .scenarios import config_from_doc, run_scenario
 from .serialize import SchemaError, dump_json, load_json, write_csv
 
@@ -103,34 +104,22 @@ def cmd_sweep(args) -> int:
 
 
 def _convergence_rows(halvings: int) -> list[list]:
-    """Residuals for the bundled Rabi and oscillator scenarios, tau halved."""
-    from .evolution import (
-        TimeGrid,
-        heisenberg_residual,
-        schrodinger_residual,
-        von_neumann_residual,
-    )
-    from .scenarios import build_engine
-    from .states import StateVector, pure_density
+    """Residuals for the bundled Rabi and oscillator scenarios, tau halved.
 
+    Each row runs the scenario for one step of tau / 2^k and reads
+    ``residual_tau`` from that run's three equation-residual checks.
+    """
     rows: list[list] = []
     for name in ("rabi", "oscillator"):
         doc, base = _resolve_config(name)
         config = config_from_doc(doc, base)
         for k in range(halvings + 1):
             tau = config.grid.tau / 2 ** k
-            engine = build_engine(dataclasses.replace(
-                config, grid=TimeGrid(tau=tau, steps=1, t0=config.grid.t0)))
-            probe = next(iter(config.observables_to_trace.values()))
-            psi = StateVector.basis_vector(engine.dim, config.initial_state
-                                           if isinstance(config.initial_state, int) else 0)
-            h_rep = heisenberg_residual(engine, probe, config.grid.t0)
-            s_rep = schrodinger_residual(engine, psi, config.grid.t0)
-            v_rep = von_neumann_residual(engine, pure_density(psi), config.grid.t0)
-            rows.append([name, k, tau,
-                         h_rep.residuals["residual_tau"],
-                         s_rep.residuals["residual_tau"],
-                         v_rep.residuals["residual_tau"]])
+            result = run_scenario(dataclasses.replace(
+                config, grid=TimeGrid(tau=tau, steps=1, t0=config.grid.t0)), base)
+            residual = {c.name: c.residuals.get("residual_tau") for c in result.checks}
+            rows.append([name, k, tau, residual["heisenberg_residual"],
+                         residual["schrodinger_residual"], residual["von_neumann_residual"]])
     return rows
 
 

@@ -407,6 +407,10 @@ class ProjectorBasis:
         """All projectors rank one."""
         return all(s == 1 for s in self._block_sizes)
 
+    def combine(self, values) -> np.ndarray:
+        """The entries of sum_j v_j I_j, one value per projector; none is built."""
+        return _spectral_apply(self.frame, values, self._block_sizes)
+
 
 class SpectralDecomposition:
     """A = sum_j a_j I_j: a projector basis labelled by strictly increasing eigenvalues."""
@@ -431,13 +435,22 @@ class SpectralDecomposition:
         return self.basis.ranks()
 
     def reconstruct(self) -> Observable:
-        basis = self.basis
-        return Observable(_spectral_apply(basis.frame, basis.labels, basis.ranks()))
+        return Observable(self.basis.combine(self.basis.labels))
 
 
 def _spectral_apply(frame: np.ndarray, values, mults) -> np.ndarray:
     """(V * repeat(values, mults)) @ V^dagger: one value per column cluster."""
     return (frame * np.repeat(np.asarray(values), mults)) @ frame.conj().T
+
+
+def _clusters(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Means and sizes of the runs of ascending ``values`` whose neighbours lie within ``gap``."""
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap)
+    sizes = np.diff(np.append(starts, len(values)))
+    means = values[starts]
+    for j in np.flatnonzero(sizes > 1):
+        means[j] = np.mean(values[starts[j]:starts[j] + sizes[j]])
+    return means, sizes
 
 
 def _spectral_frame(a: PseudoObservable):
@@ -461,12 +474,7 @@ def _spectral_frame(a: PseudoObservable):
         raise AlgebraError("spectrum is not finite")
     radius = float(np.max(np.abs(w))) if w.size else 0.0
     scale = max(1.0, radius)
-    gap = GROUPING_TOL * scale
-    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > gap)
-    mults = np.diff(np.append(starts, len(w)))
-    means = w[starts]
-    for j in np.flatnonzero(mults > 1):
-        means[j] = np.mean(w[starts[j]:starts[j] + mults[j]])
+    means, mults = _clusters(w, GROUPING_TOL * scale)
     _check_orthonormal(v)
     # scaled before the norm, so its sum of squares cannot overflow for a large radius
     recon = float(np.linalg.norm((_spectral_apply(v, means, mults) - obs.entries) / scale))

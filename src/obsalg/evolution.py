@@ -9,9 +9,10 @@ the unitary ``U(t) = exp(i (tau/hbar) H(t))``:
 For explicitly time-dependent H the step evaluates H at the step's start
 time (left-point rule; first order by design, matching the two-step split
 for explicit time dependence).  Per-step picture duality
-<D|U O U^dagger> = <U^dagger D U|O> is exact; over multi-step trajectories
-with non-commuting H(t) the two pictures' composite propagators differ at
-O(tau^2) per step pair, which the residual audits quantify.
+<D|U O U^dagger> = <U^dagger D U|O> is exact.  A driven Heisenberg run
+accumulates the anti-time-ordered product V_{m+1} = U_m V_m, so over a run
+of length T it differs from the Schroedinger run by the second Magnus term
+(1/2) int int [H(t1), H(t2)]: O(T^2), and it does not shrink with tau.
 
 Difference-quotient residuals against the continuous equations of motion
 (Heisenberg, Schroedinger, von Neumann) are first order in tau.  Each
@@ -28,12 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .canonical import (
-    frame_conjugate,
-    make_canonical_pair,
-    make_position,
-    translate_labels,
-)
+from .canonical import _reversal_parity, make_canonical_pair, make_position, translate_labels
 from .core import (
     TOL_RECON,
     AlgebraError,
@@ -265,11 +261,22 @@ def von_neumann_step_residual(engine: EvolutionEngine, d: DensityObservable, t: 
     return opnorm((u.conj().T @ rho @ u - rho) / step - gen)
 
 
-def _halving_report(name: str, residual_at, tau: float, scale: float) -> CheckReport:
-    """Evaluate a step residual at tau and tau/2; first order means ratio <= 0.6."""
+def _halving_report(name: str, engine: EvolutionEngine, t: float, residual_at,
+                    o_scale: float = 1.0) -> CheckReport:
+    """Evaluate a step residual at tau and tau/2; first order means ratio <= 0.6.
+
+    One ||H(t)|| sets the regime warning, issued at the check's caller, and
+    the floor ``1e-12 * o_scale * max(1, ||H||)`` of a zero residual.
+    """
+    h_norm = engine.hamiltonian.evaluate(t).norm()
+    tau = engine.grid.tau
+    if tau * h_norm / engine.hbar > 0.5:
+        warnings.warn(f"tau*||H||/hbar = {tau * h_norm / engine.hbar:.2f} > 0.5; "
+                      f"difference quotients are far from the continuum regime",
+                      stacklevel=3)
     r_tau = residual_at(tau)
     r_half = residual_at(tau / 2)
-    floor = 1e-12 * max(1.0, scale)
+    floor = 1e-12 * (o_scale * max(1.0, h_norm))
     if r_tau <= floor:
         ratio, passed = 0.0, True
     else:
@@ -283,47 +290,32 @@ def _halving_report(name: str, residual_at, tau: float, scale: float) -> CheckRe
     )
 
 
-def _warn_if_coarse(engine: EvolutionEngine, t: float) -> None:
-    h_norm = engine.hamiltonian.evaluate(t).norm()
-    if engine.grid.tau * h_norm / engine.hbar > 0.5:
-        warnings.warn(
-            f"tau*||H||/hbar = {engine.grid.tau * h_norm / engine.hbar:.2f} > 0.5; "
-            f"difference quotients are far from the continuum regime",
-            stacklevel=3)
-
-
 def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
                         t: float) -> CheckReport:
     """:func:`heisenberg_step_residual` of O at tau and tau/2."""
-    _warn_if_coarse(engine, t)
     node = parse(o_expr) if isinstance(o_expr, str) else o_expr
     o_t = engine.hamiltonian.value(node, t)
-    scale = max(1.0, o_t.norm()) * max(1.0, engine.hamiltonian.evaluate(t).norm())
     v = np.eye(engine.dim, dtype=complex)
     return _halving_report(
-        "heisenberg_residual",
+        "heisenberg_residual", engine, t,
         lambda step: heisenberg_step_residual(engine, node, t, step, v, o_t.entries),
-        engine.grid.tau, scale)
+        max(1.0, o_t.norm()))
 
 
 def schrodinger_residual(engine: EvolutionEngine, psi: StateVector,
                          t: float) -> CheckReport:
     """:func:`schrodinger_step_residual` of Psi at tau and tau/2."""
-    _warn_if_coarse(engine, t)
     return _halving_report(
-        "schrodinger_residual",
-        lambda step: schrodinger_step_residual(engine, psi, t, step),
-        engine.grid.tau, max(1.0, engine.hamiltonian.evaluate(t).norm()))
+        "schrodinger_residual", engine, t,
+        lambda step: schrodinger_step_residual(engine, psi, t, step))
 
 
 def von_neumann_residual(engine: EvolutionEngine, d: DensityObservable,
                          t: float) -> CheckReport:
     """:func:`von_neumann_step_residual` of D at tau and tau/2."""
-    _warn_if_coarse(engine, t)
     return _halving_report(
-        "von_neumann_residual",
-        lambda step: von_neumann_step_residual(engine, d, t, step),
-        engine.grid.tau, max(1.0, engine.hamiltonian.evaluate(t).norm()))
+        "von_neumann_residual", engine, t,
+        lambda step: von_neumann_step_residual(engine, d, t, step))
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +386,14 @@ def temporal_abscissa_check(n: int, tau_units: float, hbar: float = 1.0) -> Chec
     translates T by exactly one resolution step (modulo the window), checked
     at projector-label level.  Time reversal, realized as entrywise
     conjugation in the energy eigenbasis, fixes H exactly and flips T up to
-    the single unpaired edge mode of norm 2 n tau.
+    the single unpaired edge mode of norm 2 n tau.  ||T|| and ||H|| are the
+    magnitudes of the edge labels.
     """
     pair = make_canonical_pair(make_position(n, tau_units), hbar)
     t_obs = pair.q.observable
-    h_obs = pair.p
-    d = pair.dim
 
     # translation at label level: U T U^dagger carries label t_{j+1} at slot j
-    u = unitary_exponential((tau_units / hbar) * h_obs)
+    u = pair._momentum_exponential()  # exp(i (tau/hbar) H), as tau is T's resolution
     step_error = u.distance(pair.s)
     moved = u.entries @ t_obs.entries @ u.entries.conj().T
     frame = pair.q.basis.frame
@@ -413,18 +404,11 @@ def temporal_abscissa_check(n: int, tau_units: float, hbar: float = 1.0) -> Chec
     zero_ok = translate_labels(pair, 0) == pair.q.spectrum
 
     # time-reversal parity in the energy frame
-    energy_frame = pair.momentum.basis.frame
-    h_defect = opnorm(frame_conjugate(h_obs.entries, energy_frame) - h_obs.entries)
-    t_defect = frame_conjugate(t_obs.entries, energy_frame) + t_obs.entries
-    edge_projector = pair.q.basis[0].entries  # j = -n coordinate mode
-    edge_value = pair.q.spectrum[0]
-    parity_residual = opnorm(t_defect - 2 * edge_value * edge_projector)
-    defect_norm = opnorm(t_defect)
-
-    scale = max(1.0, t_obs.norm())
+    h_defect, _, defect_norm, parity_residual = _reversal_parity(pair.momentum, pair.q)
+    scale = max(1.0, abs(pair.q.spectrum[0]))
     passed = (label_residual <= 1e-12 * scale and wrap_ok and zero_ok
               and step_error <= TOL_RECON
-              and h_defect <= 1e-12 * max(1.0, h_obs.norm())
+              and h_defect <= 1e-12 * max(1.0, abs(pair.momentum_spectrum[0]))
               and parity_residual <= TOL_RECON * scale
               and abs(defect_norm - 2 * n * tau_units) <= TOL_RECON * scale)
     return CheckReport(
@@ -435,6 +419,6 @@ def temporal_abscissa_check(n: int, tau_units: float, hbar: float = 1.0) -> Chec
                    "hamiltonian_conjugation_defect": h_defect,
                    "parity_rank_one_residual": parity_residual,
                    "parity_defect_norm_error": abs(defect_norm - 2 * n * tau_units)},
-        details={"dim": d, "expected_defect_norm": 2 * n * tau_units,
+        details={"dim": pair.dim, "expected_defect_norm": 2 * n * tau_units,
                  "translated_labels": target_labels.tolist()},
     )

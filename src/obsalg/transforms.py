@@ -28,6 +28,7 @@ from .core import (
     PseudoObservable,
     _check_orthonormal,
     _check_same_dim,
+    _clusters,
     _frozen,
     _spectral_apply,
     _spectral_frame,
@@ -95,10 +96,8 @@ def _cayley_eigen(e: np.ndarray) -> tuple[list[float], np.ndarray]:
     x -= x.conj().T
     x *= 0.5j  # the Hermitian part of C = iX
     tangents, frame = np.linalg.eigh(x)
-    alphas = 2 * np.arctan(tangents)
-    starts = np.flatnonzero(np.diff(alphas, prepend=-np.inf) > GROUPING_TOL)
-    mults = np.diff(np.append(starts, d))
-    labels = [_fold_phase(phi + mean) for mean in np.add.reduceat(alphas, starts) / mults]
+    means, mults = _clusters(2 * np.arctan(tangents), GROUPING_TOL)
+    labels = [_fold_phase(phi + mean) for mean in means]
     return np.repeat(labels, mults).tolist(), _frozen(frame)
 
 
@@ -120,9 +119,8 @@ class Transformation:
         _check_same_dim(w, basis)
         if basis.labels is None or not all(-math.pi < g <= math.pi for g in basis.labels):
             raise AlgebraError("generatrix spectrum must lie in (-pi, pi]")
-        phases = np.exp(1j * np.array(basis.labels))
         recon = float(np.linalg.norm(
-            _spectral_apply(basis.frame, phases, basis.ranks()) - w.entries))
+            basis.combine(np.exp(1j * np.array(basis.labels))) - w.entries))
         if not recon <= TOL_RECON:
             raise AlgebraError(f"e^(iG) does not reproduce W: Frobenius residual {recon:.3e}")
         object.__setattr__(self, "w", w)
@@ -138,8 +136,7 @@ class Transformation:
     @property
     def generatrix(self) -> Observable:
         """G = sum_j g_j I_j, built from the basis on each read."""
-        basis = self.basis
-        return Observable(_spectral_apply(basis.frame, basis.labels, basis.ranks()))
+        return Observable(self.basis.combine(self.basis.labels))
 
     @classmethod
     def identity(cls, dim: int) -> "Transformation":

@@ -334,3 +334,36 @@ def test_canonical_pair_passes_the_gates_at_dimension_512():
     pair = make_canonical_pair(make_position(256, 0.1))
     assert pair.dim == 512
     assert pair.exponential_consistency() < 1e-12
+
+
+def _count_linalg_calls(monkeypatch, names=("eigh", "svd")) -> dict:
+    """Count the NumPy ``linalg`` calls made from here on, by function name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_canonical_checks_read_the_stored_frames(monkeypatch):
+    # exp(i eps P / hbar) is summed over the momentum basis, and ||Q||, ||P||
+    # are read from the edge labels: no eigh, and an SVD only per reported norm
+    calls = _count_linalg_calls(monkeypatch)
+    make_canonical_pair(make_position(16, 0.25))
+    assert calls["eigh"] == 0
+    calls.update(eigh=0, svd=0)
+    commutator_limit_probe([32, 64, 128])
+    assert calls == {"eigh": 0, "svd": 15}
+
+
+def test_momentum_exponential_is_the_shift_for_a_rotated_coordinate(rng):
+    q = make_position(3, 0.4)
+    frame = random_unitary(rng, q.dim).entries
+    rotated = LinearSpectrumObservable(3, 0.4, ProjectorBasis.from_frame(
+        frame, [1] * q.dim, labels=q.spectrum))
+    pair = make_canonical_pair(rotated, hbar=0.7)
+    assert pair.exponential_consistency() < 1e-12
+    dense = unitary_exponential((pair.epsilon / pair.hbar) * pair.p)
+    assert dense.distance(pair.s) < 1e-12

@@ -424,3 +424,32 @@ def test_time_dependent_memory_is_flat_in_step_count():
         return retained
 
     assert abs(retained_after(2000) - retained_after(200)) <= 2 ** 20
+
+
+def test_coarse_grid_warning_points_at_the_caller():
+    engine = rabi_engine(tau=8.0)
+    psi = StateVector.basis_vector(2, 0)
+    for check, subject in ((heisenberg_residual, "SZ"), (schrodinger_residual, psi),
+                           (von_neumann_residual, pure_density(psi))):
+        with pytest.warns(UserWarning, match="far from the continuum") as record:
+            check(engine, subject, 0.0)
+        assert [w.filename for w in record] == [__file__], check.__name__
+
+
+def test_residual_checks_take_one_norm_of_h(monkeypatch):
+    engine, pair = oscillator_engine()
+    h = engine.hamiltonian.evaluate(0.0).entries
+    of_h = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        of_h.append(np.array_equal(a, h))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    psi = StateVector.basis_vector(pair.dim, 16)
+    for check, subject in ((heisenberg_residual, "Q"), (schrodinger_residual, psi),
+                           (von_neumann_residual, pure_density(psi))):
+        of_h.clear()
+        check(engine, subject, 0.0)
+        assert sum(of_h) == 1, check.__name__
