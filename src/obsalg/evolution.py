@@ -243,8 +243,10 @@ def schrodinger_step_residual(engine: EvolutionEngine, psi: StateVector, t: floa
     h_t = engine.hamiltonian.evaluate(t).entries
     u = engine.unitary(t, step).entries
     ahead = u.conj().T @ psi.amplitudes
-    return float(np.linalg.norm((ahead - psi.amplitudes) / step
-                                + (1j / engine.hbar) * (h_t @ psi.amplitudes)))
+    # U's roundoff over a tiny step can overflow the sum of squares: inf fails the check
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm((ahead - psi.amplitudes) / step
+                                    + (1j / engine.hbar) * (h_t @ psi.amplitudes)))
 
 
 def von_neumann_step_residual(engine: EvolutionEngine, d: DensityObservable, t: float,

@@ -127,6 +127,8 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     grid = TimeGrid(tau=_number(grid_doc["tau"], "config.grid.tau", positive=True),
                     steps=_integer(grid_doc["steps"], "config.grid.steps", 1),
                     t0=_number(grid_doc.get("t0", 0.0), "config.grid.t0"))
+    if not math.isfinite(grid.t0 + grid.tau * grid.steps):
+        raise SchemaError("config.grid.tau", "the end time t0 + tau*steps is not finite")
 
     picture = doc.get("picture", "schrodinger")
     if picture not in ("schrodinger", "heisenberg"):

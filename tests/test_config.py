@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +53,21 @@ def test_mistyped_field_is_a_validation_error(tmp_path, capsys, field, value):
     path.write_text(json.dumps(edited(free_particle_doc(), field, value)))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert f"config.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [{"grid.tau": 1.7976931348623157e308, "epsilon": 2},
+                                    {"grid.t0": 1.7976931348623157e308, "grid.tau": 1e300}])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_end_time_is_a_validation_error(tmp_path, capsys, fields):
+    # H(t0) and (tau/hbar) H(t0) are finite, but the grid time t0 + tau*steps is not
+    doc = free_particle_doc()
+    doc["n"], doc["initial_state"], doc["grid"]["steps"] = 2, 0, 5
+    for field, value in fields.items():
+        edited(doc, field, value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "config.grid.tau" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields", [{"epsilon": 1e-300}, {"epsilon": 1.0, "hbar": 1e300}])
@@ -151,3 +167,16 @@ def test_fuzzed_scalar_fields_never_crash(tmp_path_factory, mutation):
     code, err = run_cli(["run", str(path), "--out", str(workdir)])
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_schrodinger_residual_is_reported_not_warned(tmp_path):
+    # (U - 1)/tau is the roundoff of U over tau = 1e-300: its norm overflows
+    doc = free_particle_doc()
+    doc["n"], doc["initial_state"], doc["grid"]["steps"] = 2, 0, 5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(edited(doc, "grid.tau", 1e-300)))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    audit = json.loads((tmp_path / "free_particle_audit.json").read_text())
+    check = next(c for c in audit["checks"] if c["name"] == "schrodinger_residual")
+    assert not check["pass"] and check["residuals"]["residual_tau"] == math.inf
