@@ -76,13 +76,13 @@ def draw_scenario(rng, d: int, steps: int, kinds: list, tau: float) -> dict:
     terms = [{"op": f"M{k}", "c": float(rng.uniform(0.2, 1.5)),
               "nu": float(rng.uniform(0.5, 3.0)), "driven": kind == "cos"}
              for k, kind in enumerate(kinds)]
-    return {"operators": operators, "traced": traced, "terms": terms,
+    return {"dim": d, "operators": operators, "traced": traced, "terms": terms,
             "tau": tau, "steps": steps, "index": int(rng.integers(d))}
 
 
 def scenario_doc(s: dict, picture: str, initial_state, transform=None) -> dict:
     """The config document of a drawn scenario, its matrices conjugated by ``transform``."""
-    w = np.eye(len(s["traced"]["A0"])) if transform is None else transform
+    w = np.eye(s["dim"]) if transform is None else transform
 
     def moved(m):
         return matrix_doc(w @ m @ w.conj().T)
