@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -381,19 +381,16 @@ class SweepRow:
     edge_defect_weight: float
 
 
-def commutator_limit_probe(n_list: Sequence[int],
-                           epsilon_rule: Callable[[int], float] | None = None,
-                           hbar: float = 1.0) -> tuple[SweepRow, ...]:
-    """Weyl metrics across level counts, rows sorted by n.
+def commutator_limit_probe(n_list: Sequence[int]) -> tuple[SweepRow, ...]:
+    """Weyl metrics across level counts, rows sorted by n, at hbar = 1.
 
-    The default rule epsilon = 1/sqrt(n) drives both required limits at once:
-    the resolution shrinks while the coordinate window n*epsilon grows.
+    The rule epsilon = 1/sqrt(n) drives both required limits at once: the
+    resolution shrinks while the coordinate window n*epsilon grows.
     """
-    rule = epsilon_rule or (lambda n: 1.0 / math.sqrt(n))
     rows = []
     for n in sorted(int(x) for x in n_list):
-        eps = float(rule(n))
-        pair = make_canonical_pair(make_position(n, eps), hbar)
+        eps = 1.0 / math.sqrt(n)
+        pair = make_canonical_pair(make_position(n, eps))
         report = weyl_residual(pair)
         parity = conjugation_parity_check(pair)
         rows.append(SweepRow(

@@ -17,7 +17,7 @@ Tolerances are stated once here and reused by all other modules:
 
 * ``TOL_HERM``   -- Hermiticity, relative to the largest entry magnitude.
 * ``TOL_RECON``  -- reconstruction, closure and product residuals.
-* ``GROUPING_TOL`` -- eigenvalue clustering, relative to max(1, spectral radius).
+* ``GROUPING_TOL`` -- eigenvalue clustering, relative to the spectral radius.
 
 A residual that only gates a value (construction raises unless it is within
 its bound) is measured in the Frobenius norm: ``||X||_2 <= ||X||_F <=
@@ -272,10 +272,9 @@ def commutator(a: PseudoObservable, b: PseudoObservable) -> PseudoObservable:
     return PseudoObservable(a.entries @ b.entries - b.entries @ a.entries)
 
 
-def is_compatible(a: PseudoObservable, b: PseudoObservable,
-                  tol: float = TOL_RECON) -> bool:
-    """True iff ||[A,B]|| <= tol * ||A|| * ||B||."""
-    return opnorm(commutator(a, b)) <= tol * a.norm() * b.norm()
+def is_compatible(a: PseudoObservable, b: PseudoObservable) -> bool:
+    """True iff ||[A,B]|| <= TOL_RECON * ||A|| * ||B||."""
+    return opnorm(commutator(a, b)) <= TOL_RECON * a.norm() * b.norm()
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +457,10 @@ def _spectral_frame(a: PseudoObservable):
 
     Returns ``(frame, means, mults)``: the eigenvector frame (read-only), the
     mean of each eigenvalue cluster and the cluster sizes.  Eigenvalues within
-    ``GROUPING_TOL * max(1, spectral radius)`` of their neighbour share a
-    cluster.  Certifies the input's Hermiticity (unless it is already an
-    :class:`Observable`), a finite spectrum, the frame's Gram residual
+    ``GROUPING_TOL * spectral radius`` of their neighbour share a cluster, so
+    an operator of small norm keeps distinct eigenvalues apart.  Certifies the
+    input's Hermiticity (unless it is already an :class:`Observable`), a
+    finite spectrum, the frame's Gram residual
     ``||V^dagger V - 1||_F <= TOL_RECON`` and the reconstruction residual
     ``||sum_j a_j I_j - A||_F <= TOL_RECON * max(1, radius)``; both residuals
     are Frobenius, at most sqrt(d) stricter than spectral-norm gates.
@@ -473,8 +473,8 @@ def _spectral_frame(a: PseudoObservable):
     if not np.isfinite(w).all():
         raise AlgebraError("spectrum is not finite")
     radius = float(np.max(np.abs(w))) if w.size else 0.0
+    means, mults = _clusters(w, GROUPING_TOL * radius)
     scale = max(1.0, radius)
-    means, mults = _clusters(w, GROUPING_TOL * scale)
     _check_orthonormal(v)
     # scaled before the norm, so its sum of squares cannot overflow for a large radius
     recon = float(np.linalg.norm((_spectral_apply(v, means, mults) - obs.entries) / scale))
@@ -487,7 +487,7 @@ def _spectral_frame(a: PseudoObservable):
 def spectral_decompose(a: PseudoObservable) -> SpectralDecomposition:
     """Eigendecompose a Hermitian element into distinct spectral terms.
 
-    Eigenvalues within ``GROUPING_TOL * max(1, spectral radius)`` of each other
+    Eigenvalues within ``GROUPING_TOL * spectral radius`` of each other
     belong to one term; the projector of a multiple eigenvalue spans its whole
     eigenvector cluster.  The basis is frame-backed (see
     :class:`ProjectorBasis`), so no projector is built until it is indexed.
@@ -530,9 +530,9 @@ def apply_function(f: FunctionLike, a: PseudoObservable) -> PseudoObservable:
     built.  ``f`` is evaluated once per cluster, at its mean, whether it is a
     callable on reals or tabulated (eigenvalue, value) pairs; for a callable
     this differs from evaluating at each raw eigenvalue by at most
-    ``|f'| * GROUPING_TOL * max(1, radius)``.  Returns an :class:`Observable`
-    when the result is Hermitian (real-valued ``f``), otherwise a plain
-    element (e.g. complex phases).
+    ``|f'| * GROUPING_TOL * radius`` per neighbour step within the cluster.
+    Returns an :class:`Observable` when the result is Hermitian (real-valued
+    ``f``), otherwise a plain element (e.g. complex phases).
     """
     return _wrap_like(_function_entries(f, a), a)
 

@@ -309,63 +309,52 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     per-step equation-of-motion residual, and the state-invariant drift
     (norm for vector states, trace for densities).  The residual is the
     ``*_step_residual`` of :mod:`obsalg.evolution` at tau; in the Heisenberg
-    picture it is the maximum over the traced observables.
+    picture it is the maximum over the traced observables, each read as
+    V_m O V_m^dagger in :meth:`EvolutionEngine.heisenberg_frames`.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
     initial = _initial_state(config, engine.dim, base_dir)
     traced = {name: parse(src) for name, src in config.observables_to_trace.items()}
+    # a constant H is read with the traced observables, as one more node unless
+    # it is traced (a traced copy shares H's memo entry): its column is the energy
+    nodes = list(traced.values())
+    if not ham.time_dependent and ham.expr not in nodes:
+        nodes.append(ham.expr)
+    energy_at = None if ham.time_dependent else nodes.index(ham.expr)
 
     header = ["step", "t", *traced.keys(), "equation_residual", "state_drift"]
     rows: list[list[float]] = []
-    time_dep = ham.time_dependent
     tau = engine.grid.tau
-    h0 = ham.evaluate(engine.grid.t0)
     energy_series: list[float] = []
-    # a traced copy of H reads H's own memo entry, so its column is the energy
-    energy_column = next((i for i, node in enumerate(traced.values())
-                          if node == ham.expr), None)
-
     state = initial
     expect = vector_expectation if isinstance(state, StateVector) else expectation
-    # Heisenberg-picture V_m: the state stays fixed and O is read as V_m O V_m^dagger
-    conjugator = (np.eye(engine.dim, dtype=complex)
-                  if config.picture == "heisenberg" else None)
+    frames = (engine.heisenberg_frames() if config.picture == "heisenberg"
+              else ((float(t), None) for t in engine.grid.times()))
 
-    for step, t in enumerate(engine.grid.times()):
-        t = float(t)
-        read = [_read(ham.value(node, t), conjugator) for node in traced.values()]
+    for step, (t, v) in enumerate(frames):
+        read = [ham.value(node, t) for node in nodes]
+        if v is not None:
+            read = [PseudoObservable(v @ o.entries @ v.conj().T) for o in read]
         expectations = [expect(state, o).real for o in read]
-        if not time_dep:
-            energy_series.append(expect(state, _read(h0, conjugator)).real
-                                 if energy_column is None else expectations[energy_column])
+        if energy_at is not None:
+            energy_series.append(expectations[energy_at])
 
         if step == engine.grid.steps:
-            rows.append([step, t, *expectations, 0.0, _state_drift(state)])
-            break
-
-        if conjugator is not None:
-            residual = max((heisenberg_step_residual(engine, node, t, tau, conjugator,
-                                                     o.entries)
+            residual = 0.0
+        elif v is not None:
+            residual = max((heisenberg_step_residual(engine, node, t, tau, v, o.entries)
                             for node, o in zip(traced.values(), read)), default=0.0)
-            conjugator = engine.unitary(t).entries @ conjugator
         elif isinstance(state, StateVector):
             residual = schrodinger_step_residual(engine, state, t, tau)
             state = schrodinger_step(engine, state, t)
         else:
             residual = von_neumann_step_residual(engine, state, t, tau)
             state = von_neumann_step(engine, state, t)
-        rows.append([step, t, *expectations, residual, _state_drift(state)])
+        rows.append([step, t, *expectations[:len(traced)], residual, _state_drift(state)])
 
     checks = _scenario_checks(config, engine, initial, energy_series)
     return ScenarioResult(config, header, rows, checks)
-
-
-def _read(o: PseudoObservable, conjugator: np.ndarray | None) -> PseudoObservable:
-    """O, or V O V^dagger when a Heisenberg conjugator V is given."""
-    if conjugator is None:
-        return o
-    return PseudoObservable(conjugator @ o.entries @ conjugator.conj().T)
 
 
 def _state_drift(state: StateVector | DensityObservable) -> float:

@@ -110,12 +110,11 @@ def expectation(d: DensityObservable, p: PseudoObservable) -> complex:
     return inner_product(d.matrix, p)
 
 
-def real_expectation(d: DensityObservable, p: PseudoObservable,
-                     imag_tol: float = 1e-12) -> float:
-    """Expectation of an observable, asserting the imaginary part is noise."""
+def real_expectation(d: DensityObservable, p: PseudoObservable) -> float:
+    """Expectation of an observable; an imaginary part over 1e-12 * max(1, |<P>|) raises."""
     val = expectation(d, p)
     scale = max(1.0, abs(val))
-    if abs(val.imag) > imag_tol * scale:
+    if abs(val.imag) > 1e-12 * scale:
         raise AlgebraError(f"expectation has imaginary part {val.imag:.3e}")
     return val.real
 

@@ -116,6 +116,10 @@ class Transformation:
 
     def __init__(self, w: PseudoObservable, basis: ProjectorBasis):
         _check_orthonormal(w.entries, "inducing element is not unitary")
+        self._hold(w, basis)
+
+    def _hold(self, w: PseudoObservable, basis: ProjectorBasis) -> None:
+        """Gate the basis against W and store both; W's unitarity is gated by the caller."""
         _check_same_dim(w, basis)
         if basis.labels is None or not all(-math.pi < g <= math.pi for g in basis.labels):
             raise AlgebraError("generatrix spectrum must lie in (-pi, pi]")
@@ -150,13 +154,15 @@ class Transformation:
 def from_unitary(w: PseudoObservable) -> Transformation:
     """Wrap a unitary, extracting its principal-branch generatrix.
 
-    W is gated first, ``||W^dagger W - 1||_F <= TOL_RECON`` (Frobenius, at
+    W is gated once, ``||W^dagger W - 1||_F <= TOL_RECON`` (Frobenius, at
     most sqrt(d) stricter than the spectral norm; a NaN fails it), before
-    its phases are extracted.
+    its phases are extracted: the Cayley ``solve`` needs a unitary W.
     """
     _check_orthonormal(w.entries, "not unitary")
     labels, frame = _cayley_eigen(w.entries)
-    return Transformation(w, ProjectorBasis.from_frame(frame, [1] * w.dim, labels))
+    t = object.__new__(Transformation)  # W is gated above: no second Gram product
+    t._hold(w, ProjectorBasis.from_frame(frame, [1] * w.dim, labels))
+    return t
 
 
 def from_generatrix(g: PseudoObservable) -> Transformation:
@@ -208,9 +214,9 @@ def transform_basis(t: Transformation, basis):
     raise AlgebraError(f"cannot transform {type(basis).__name__}")
 
 
-def is_invariant(t: Transformation, a: Observable, tol: float = TOL_RECON) -> bool:
-    """||tau(A) - A|| <= tol * ||A||."""
-    return apply(t, a).distance(a) <= tol * a.norm()
+def is_invariant(t: Transformation, a: Observable) -> bool:
+    """||tau(A) - A|| <= TOL_RECON * ||A||."""
+    return apply(t, a).distance(a) <= TOL_RECON * a.norm()
 
 
 def invariance_characterization(t: Transformation, a: Observable,

@@ -453,3 +453,41 @@ def test_residual_checks_take_one_norm_of_h(monkeypatch):
         of_h.clear()
         check(engine, subject, 0.0)
         assert sum(of_h) == 1, check.__name__
+
+
+# --- Heisenberg frames ---------------------------------------------------------------------------
+
+def test_heisenberg_frames_are_powers_of_the_step_for_a_constant_h():
+    engine = rabi_engine(steps=6)
+    frames = list(engine.heisenberg_frames())
+    assert [t for t, _ in frames] == [float(t) for t in engine.grid.times()]
+    u = engine.unitary(0.0).entries
+    for m, (_, v) in enumerate(frames):
+        assert opnorm(v - np.linalg.matrix_power(u, m)) < 1e-14
+
+
+def test_heisenberg_reads_draw_their_frames_from_the_engine(monkeypatch):
+    """The trace, the drift and the commutator persistence all read V_m from
+    ``EvolutionEngine.heisenberg_frames``, the one place the step order is set."""
+    from obsalg.scenarios import config_from_doc, run_scenario
+
+    calls = []
+
+    def frozen_frames(engine):  # every frame the identity: nothing moves
+        calls.append(engine)
+        for t in engine.grid.times():
+            yield float(t), np.eye(engine.dim, dtype=complex)
+
+    monkeypatch.setattr(EvolutionEngine, "heisenberg_frames", frozen_frames)
+    pauli = {"SX": {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]},
+             "SZ": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}}
+    result = run_scenario(config_from_doc({
+        "operators": pauli, "hamiltonian": "0.5*SX", "picture": "heisenberg",
+        "grid": {"tau": 0.1, "steps": 10}, "observables_to_trace": {"sz": "SZ"}}))
+    assert result.column("sz") == [1.0] * 11
+    engine = rabi_engine(steps=10)
+    drift = symmetry_check(engine, Observable(SZ)).residuals["drift_residual"]
+    persistence = compatibility_persistence_check(engine, Observable(SZ), Observable(SY))
+    assert drift == 0.0
+    assert persistence.residuals["commutator_drift"] == 0.0
+    assert len(calls) == 3

@@ -600,3 +600,32 @@ def test_phases_cluster_by_angle_not_by_the_cayley_radius():
     merged = labels[np.abs(labels - 1.0) < 1e-6]
     assert len(merged) == 2 and merged[0] == merged[1]
     assert merged[0] == pytest.approx(1.0 + 5e-13, abs=1e-12)
+
+
+# --- small generators and certificate counts -----------------------------------------------------
+
+@pytest.mark.parametrize("s, bound", [(1e-10, 1e-4), (1e-12, 1e-2)])
+def test_unitary_exponential_of_a_small_generator_keeps_its_spectrum(rng, s, bound):
+    # eigenvalues 1e-10 apart stay distinct: clustering is relative to the radius
+    h = random_hermitian(rng, 4)
+    u = unitary_exponential(s * h).entries
+    assert opnorm((u - np.eye(4)) / s - 1j * h.entries) <= bound * max(1.0, h.norm())
+
+
+def test_from_unitary_runs_two_gram_certificates(rng, monkeypatch):
+    from obsalg import core
+
+    real = core._check_orthonormal
+    calls = []
+
+    def counted(frame, *args):
+        calls.append(frame.shape)
+        return real(frame, *args)
+
+    monkeypatch.setattr(core, "_check_orthonormal", counted)
+    monkeypatch.setattr(transforms, "_check_orthonormal", counted)
+    w = random_unitary(rng, 16)
+    from_unitary(w)
+    assert len(calls) == 2  # W once, before the Cayley solve, and the eigenframe once
+    with pytest.raises(AlgebraError, match="^not unitary"):
+        from_unitary(2.0 * w)
