@@ -233,9 +233,9 @@ def heisenberg_step_residual(engine: EvolutionEngine, node: ObservableExpr, t: f
                              step: float, v: np.ndarray, o_now: np.ndarray) -> float:
     """|| (O(t+step)-O(t))/step - [O,H]/(i hbar) - dO/dt || for one step.
 
-    O(t) = ``o_now`` = V O_bare(t) V^dagger is read through the conjugator V
-    accumulated over the steps taken so far, and
-    O(t+step) = U V O_bare(t+step) V^dagger U^dagger.  O_bare comes from the
+    O(t) = ``o_now`` = V O_bare(t) V^dagger is read in the Heisenberg frame V
+    at t, and O(t+step) = U V O_bare(t+step) V^dagger U^dagger, the order of
+    :meth:`EvolutionEngine.heisenberg_frames`.  O_bare comes from the
     Hamiltonian's memo; when it does not reference t, O_bare(t+step) is
     O_bare(t) and dO/dt is exactly 0, so that term is left out.
     """
