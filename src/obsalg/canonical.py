@@ -76,7 +76,7 @@ class LinearSpectrumObservable:
             raise AlgebraError("basis labels must be exactly {j*epsilon}, ordered by j")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "observable", Observable(basis.combine(labels)))
+        object.__setattr__(self, "observable", Observable._trusted(basis.combine(labels)))
         object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
@@ -254,7 +254,7 @@ def translate(pair: CanonicalPair, delta: float) -> Observable:
     """
     steps = translate_steps(pair, delta)
     new_labels = translate_labels(pair, steps)
-    return Observable(pair.q.basis.combine(new_labels))
+    return Observable._trusted(pair.q.basis.combine(new_labels))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,15 @@ reconstruction residual and the unitarity and e^{iG} residuals of a
 transformation.  A residual that is reported, in a check or a trace, stays
 a spectral norm.  Every gate is written ``if not residual <= bound``, so a
 NaN residual (from a non-finite entry) fails it.
+
+Values are validated where they enter: a constructor certifies what the
+caller hands in.  What certified parts produce is built through the trusted
+constructors, ``Observable._trusted`` and ``DensityObservable._trusted``,
+which check only what roundoff or overflow can still break: finiteness and,
+for a density, the unit trace.  W P W^dagger of an Observable P by a
+certified unitary W (``_conjugate``, the one conjugation law of
+transformations and time steps) and a frame sum over real labels are
+Hermitian by construction, and W^dagger D W of a density D is positive.
 """
 
 from __future__ import annotations
@@ -185,8 +194,8 @@ class Observable(PseudoObservable):
     A non-finite entry fails validation.  A real multiple ``c * A`` stays an
     Observable without a re-check: ``c a_ij`` and ``c conj(a_ji)`` are
     conjugate bit for bit when ``a_ij`` and ``conj(a_ji)`` are, and their
-    difference otherwise scales by ``|c|`` like the entries.  Only its
-    finiteness is checked.
+    difference otherwise scales by ``|c|`` like the entries.  Like every
+    value built through :meth:`_trusted`, only its finiteness is checked.
     """
 
     __slots__ = ()
@@ -201,20 +210,19 @@ class Observable(PseudoObservable):
 
     @classmethod
     def _trusted(cls, entries, unit_tag: str | None = None) -> "Observable":
-        """An Observable of entries the caller has just certified Hermitian."""
+        """An Observable of entries Hermitian by construction; only finiteness is checked."""
         self = object.__new__(cls)
         PseudoObservable.__init__(self, entries, unit_tag)
+        if not np.isfinite(self.entries).all():
+            raise AlgebraError("observable entries are not finite")
         return self
 
     def __mul__(self, scalar: Scalar):
         c = complex(scalar)
         if c.imag != 0:
             return PseudoObservable(self.entries * c, self.unit_tag)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            entries = self.entries * c
-        if not np.isfinite(entries).all():
-            raise AlgebraError(f"{c.real!r} times the observable is not finite")
-        return Observable._trusted(entries, self.unit_tag)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as not finite instead
+            return Observable._trusted(self.entries * c, self.unit_tag)
 
     __rmul__ = __mul__
 
@@ -229,11 +237,17 @@ def as_observable(p: PseudoObservable) -> Observable:
     return Observable(p.entries, p.unit_tag)
 
 
-def _wrap_like(entries: np.ndarray, template: PseudoObservable) -> PseudoObservable:
+def _wrap_like(entries: np.ndarray, unit_tag: str | None) -> PseudoObservable:
     """Return an Observable when the result is Hermitian, else a plain element."""
     if hermiticity_defect(entries) <= TOL_HERM:
-        return Observable._trusted(entries, template.unit_tag)
-    return PseudoObservable(entries, template.unit_tag)
+        return Observable._trusted(entries, unit_tag)
+    return PseudoObservable(entries, unit_tag)
+
+
+def _conjugate(w: np.ndarray, p: PseudoObservable) -> PseudoObservable:
+    """W P W^dagger, of P's kind, for a certified unitary W; an Observable is not re-probed."""
+    kind = Observable._trusted if isinstance(p, Observable) else PseudoObservable
+    return kind(w @ p.entries @ w.conj().T, p.unit_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +312,7 @@ class ProjectorBasis:
 
     Stored as an orthonormal frame and its column block sizes, O(d^2) memory.
     Projector ``j`` is ``B_j B_j^dagger`` over block ``j``; indexing builds
-    only that one, as a validated :class:`Observable`, and iteration builds
+    only that one, as an :class:`Observable`, and iteration builds
     them one at a time.  ``len``, ``ranks`` and ``is_elementary`` read the
     block sizes.  :meth:`from_frame` takes the frame directly, and ``frame``
     exposes it as a read-only array.
@@ -393,7 +407,7 @@ class ProjectorBasis:
         j = range(len(self._block_sizes))[operator.index(j)]
         start = sum(self._block_sizes[:j])
         block = self.frame[:, start:start + self._block_sizes[j]]
-        return Observable(block @ block.conj().T)
+        return Observable._trusted(block @ block.conj().T)
 
     @property
     def dim(self) -> int:
@@ -434,7 +448,7 @@ class SpectralDecomposition:
         return self.basis.ranks()
 
     def reconstruct(self) -> Observable:
-        return Observable(self.basis.combine(self.basis.labels))
+        return Observable._trusted(self.basis.combine(self.basis.labels))
 
 
 def _spectral_apply(frame: np.ndarray, values, mults) -> np.ndarray:
@@ -531,10 +545,12 @@ def apply_function(f: FunctionLike, a: PseudoObservable) -> PseudoObservable:
     callable on reals or tabulated (eigenvalue, value) pairs; for a callable
     this differs from evaluating at each raw eigenvalue by at most
     ``|f'| * GROUPING_TOL * radius`` per neighbour step within the cluster.
-    Returns an :class:`Observable` when the result is Hermitian (real-valued
-    ``f``), otherwise a plain element (e.g. complex phases).
+    A tabulated key matches a mean within ``GROUPING_TOL * radius``, the
+    clustering rule.  Returns an :class:`Observable` when the result is
+    Hermitian (real-valued ``f``), otherwise a plain element (e.g. complex
+    phases).
     """
-    return _wrap_like(_function_entries(f, a), a)
+    return _wrap_like(_function_entries(f, a), a.unit_tag)
 
 
 def _function_entries(f: FunctionLike, a: PseudoObservable) -> np.ndarray:
@@ -542,7 +558,7 @@ def _function_entries(f: FunctionLike, a: PseudoObservable) -> np.ndarray:
     frame, means, mults = _spectral_frame(a)
     eigs = means.tolist()
     radius = max((abs(x) for x in eigs), default=0.0)
-    values = _function_values(f, eigs, GROUPING_TOL * max(1.0, radius))
+    values = _function_values(f, eigs, GROUPING_TOL * radius)
     return _spectral_apply(frame, values, mults)
 
 

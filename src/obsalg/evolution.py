@@ -37,6 +37,7 @@ from .core import (
     AlgebraError,
     Observable,
     PseudoObservable,
+    _conjugate,
     as_observable,
     commutator,
     opnorm,
@@ -180,8 +181,7 @@ class EvolutionEngine:
 
 def heisenberg_step(engine: EvolutionEngine, o: Observable, t: float) -> Observable:
     """O(t+tau) = U O U^dagger, one step from the identity frame; spectrum preserved."""
-    u = engine.unitary(t).entries
-    return Observable(u @ o.entries @ u.conj().T, getattr(o, "unit_tag", None))
+    return _conjugate(engine.unitary(t).entries, as_observable(o))
 
 
 def heisenberg_step_explicit(engine: EvolutionEngine, o_expr: ObservableExpr | str,
@@ -193,8 +193,7 @@ def heisenberg_step_explicit(engine: EvolutionEngine, o_expr: ObservableExpr | s
     """
     node = parse(o_expr) if isinstance(o_expr, str) else o_expr
     advanced = evaluate(node, engine.hamiltonian.ctx.with_t(t + engine.grid.tau))
-    u = engine.unitary(t).entries
-    return as_observable(PseudoObservable(u @ advanced.entries @ u.conj().T))
+    return _conjugate(engine.unitary(t).entries, as_observable(advanced))
 
 
 def schrodinger_step(engine: EvolutionEngine, psi: StateVector, t: float) -> StateVector:
@@ -206,8 +205,7 @@ def schrodinger_step(engine: EvolutionEngine, psi: StateVector, t: float) -> Sta
 def von_neumann_step(engine: EvolutionEngine, d: DensityObservable,
                      t: float) -> DensityObservable:
     """D(t+tau) = U^dagger D U; trace, spectrum and positivity preserved."""
-    u = engine.unitary(t).entries
-    return DensityObservable(Observable(u.conj().T @ d.matrix.entries @ u))
+    return DensityObservable._trusted(_conjugate(engine.unitary(t).entries.conj().T, d.matrix))
 
 
 def reverse_step(engine: EvolutionEngine, o: Observable, t: float) -> Observable:
@@ -221,8 +219,7 @@ def reverse_step(engine: EvolutionEngine, o: Observable, t: float) -> Observable
         warnings.warn("reverse_step with time-dependent H: round-trip "
                       "guarantees hold only for time-independent Hamiltonians",
                       stacklevel=2)
-    u = engine.unitary(t).entries
-    return Observable(u.conj().T @ o.entries @ u, getattr(o, "unit_tag", None))
+    return _conjugate(engine.unitary(t).entries.conj().T, as_observable(o))
 
 
 # ---------------------------------------------------------------------------

@@ -455,7 +455,7 @@ def evaluate(node: ObservableExpr, ctx: EvalContext) -> PseudoObservable:
     value = _eval(node, ctx)
     if not isinstance(value, np.ndarray):
         value = value * np.eye(ctx.dim, dtype=complex)
-    return _wrap_like(value, PseudoObservable.identity(ctx.dim))
+    return _wrap_like(value, None)
 
 
 # --- time reversal -------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .canonical import make_canonical_pair, make_position
-from .core import PseudoObservable, as_observable
+from .core import AlgebraError, Observable, PseudoObservable, as_observable
 # perfbench's test_traced_call_restores_every_wrapped_name reads scenarios.opnorm
 from .core import opnorm  # noqa: F401
 from .evolution import (
@@ -39,7 +39,7 @@ from .evolution import (
 from .expr import EvalContext, ExprSyntaxError, parse
 from .rand import random_hermitian
 from .report import CheckReport
-from .serialize import SchemaError, load_json, matrix_from_doc, vector_from_doc
+from .serialize import SchemaError, _number, load_json, matrix_from_doc, vector_from_doc
 from .states import (
     DensityObservable,
     StateVector,
@@ -72,22 +72,6 @@ def _check_type(value, types, path: str, what: str):
     if not isinstance(value, types):
         raise SchemaError(path, f"expected {what}, got {type(value).__name__}")
     return value
-
-
-def _number(value, path: str, positive: bool = False) -> float:
-    """A finite JSON number (never a bool), positive when asked."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise SchemaError(path, f"number out of range: {value}") from None
-    if not math.isfinite(number):
-        raise SchemaError(path, f"expected a finite number, got {number}")
-    # subnormal values are too coarse to step with (tau/2 may round to 0)
-    if positive and not number >= sys.float_info.min:
-        raise SchemaError(path, f"must be a positive normal float, got {number}")
-    return number
 
 
 def _integer(value, path: str, minimum: int) -> int:
@@ -210,13 +194,17 @@ def build_engine(config: ScenarioConfig) -> EvolutionEngine:
     hamiltonian = Hamiltonian(config.hamiltonian, ctx, config.hbar)
     # H(t0), the step generator and, in the Heisenberg picture, [O(t0), H(t0)]
     # for each traced O must be finite (checked here, so overflow is not also
-    # warned about); an expression that fails to evaluate stays a runtime
-    # failure.  Values are read unvalidated through H's memo: an Observable
-    # would reject non-finite entries before this check could name the field.
+    # warned about), and H(t0) Hermitian; an expression that fails to evaluate
+    # stays a runtime failure.  Values are read unvalidated through H's memo:
+    # an Observable would reject non-finite entries before this check could
+    # name the field, and the memo holds one exactly when the value is Hermitian.
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = hamiltonian.value(hamiltonian.expr, config.grid.t0).entries
+        h_t0 = hamiltonian.value(hamiltonian.expr, config.grid.t0)
+        h0 = h_t0.entries
         if not np.isfinite(h0).all():
             raise SchemaError("config.hamiltonian", "H(t0) has non-finite entries")
+        if not isinstance(h_t0, Observable):
+            raise SchemaError("config.hamiltonian", "H(t0) is not Hermitian")
         if not np.isfinite((config.grid.tau / config.hbar) * h0).all():
             raise SchemaError("config.grid.tau", "the step generator (tau/hbar) H(t0) "
                                                  "has non-finite entries")
@@ -258,20 +246,23 @@ def _initial_state(config: ScenarioConfig, dim: int,
             raise SchemaError("config.initial_state",
                               f"length {psi.dim} does not match dim {dim}")
         return psi
-    if isinstance(spec, dict) and "density_file" in spec:
-        path = "config.initial_state.density_file"
-        ref = _check_type(spec["density_file"], str, path, "a file path")
-        matrix = matrix_from_doc(load_json(Path(base_dir) / ref), path)
-        if matrix.dim != dim:
-            raise SchemaError(path, f"dim {matrix.dim} does not match scenario dim {dim}")
-        return DensityObservable(as_observable(matrix))
-    if isinstance(spec, dict) and "vector_file" in spec:
-        path = "config.initial_state.vector_file"
-        ref = _check_type(spec["vector_file"], str, path, "a file path")
-        psi = vector_from_doc(load_json(Path(base_dir) / ref), path)
-        if psi.dim != dim:
-            raise SchemaError(path, f"dim {psi.dim} does not match scenario dim {dim}")
-        return psi
+    loaders = {"density_file": lambda doc, path: DensityObservable(
+                   as_observable(matrix_from_doc(doc, path))),
+               "vector_file": vector_from_doc}
+    for key, load in loaders.items():
+        if isinstance(spec, dict) and key in spec:
+            path = f"config.initial_state.{key}"
+            ref = _check_type(spec[key], str, path, "a file path")
+            doc = load_json(Path(base_dir) / ref)
+            try:
+                state = load(doc, path)
+            except SchemaError:
+                raise
+            except AlgebraError as exc:  # not a state: not Hermitian, positive or normalized
+                raise SchemaError(path, str(exc)) from exc
+            if state.dim != dim:
+                raise SchemaError(path, f"dim {state.dim} does not match scenario dim {dim}")
+            return state
     raise SchemaError("config.initial_state",
                       "expected a basis index, an amplitude list, or a file reference")
 

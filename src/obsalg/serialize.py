@@ -2,7 +2,8 @@
 
 A matrix document is ``{"dim": d, "entries": [[re, im], ...]}`` with entries
 in row-major order and an optional ``"unit_tag"``.  Vectors use
-``"amplitudes"`` in place of ``"entries"``.  CSV numbers are written in fixed
+``"amplitudes"`` in place of ``"entries"``.  Every ``re`` and ``im`` is a
+finite JSON number, never a bool.  CSV numbers are written in fixed
 scientific notation with 17 significant digits so that identical runs produce
 byte-identical files.
 """
@@ -10,6 +11,8 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -33,15 +36,30 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _number(value, path: str, positive: bool = False) -> float:
+    """A finite JSON number (never a bool), positive when asked."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(path, f"number out of range: {value}") from None
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {number}")
+    # subnormal values are too coarse to step with (tau/2 may round to 0)
+    if positive and not number >= sys.float_info.min:
+        raise SchemaError(path, f"must be a positive normal float, got {number}")
+    return number
+
+
 def _pairs_to_complex(pairs, count: int, path: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != count:
         raise SchemaError(path, f"expected a list of {count} [re, im] pairs")
     out = np.empty(count, dtype=complex)
     for idx, pair in enumerate(pairs):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SchemaError(f"{path}[{idx}]", "expected an [re, im] pair")
-        out[idx] = complex(pair[0], pair[1])
+        out[idx] = complex(*(_number(x, f"{path}[{idx}]") for x in pair))
     return out
 
 

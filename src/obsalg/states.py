@@ -5,13 +5,19 @@ in this package, and state updates outside unitary evolution are out of
 scope.  Transformations act dually to observables: a state vector maps to
 W^dagger Psi, a density to tau^{-1}(D) = W^dagger D W, so that expectation
 values computed in either picture agree.
+
+A density handed in is validated Hermitian, of unit trace and positive.  A
+density produced here from certified parts (W^dagger D W of a density by a
+certified unitary, or |psi><psi| of a unit vector) is Hermitian and positive
+by construction, so only its finiteness and unit trace are checked: the trace
+rests on W's unitarity, which holds to ``TOL_RECON``, not exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import AlgebraError, Observable, PseudoObservable, inner_product
+from .core import AlgebraError, Observable, PseudoObservable, _conjugate, inner_product
 from .transforms import Transformation
 
 NORM_TOL = 1e-8        # rejection threshold for unnormalized amplitudes
@@ -34,7 +40,7 @@ class StateVector:
         if arr.size < 2:
             raise AlgebraError("state vectors need dimension at least 2")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN amplitude fails it
             raise AlgebraError(f"state vector is not normalized: ||psi|| = {norm!r}")
         arr = arr / norm
         arr.setflags(write=False)
@@ -70,13 +76,23 @@ class DensityObservable:
     def __init__(self, matrix):
         obs = matrix if isinstance(matrix, Observable) else Observable(
             getattr(matrix, "entries", matrix))
-        tr = np.trace(obs.entries)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise AlgebraError(f"density trace must be 1, got {tr!r}")
+        self._hold(obs)
         lowest = float(np.linalg.eigvalsh(obs.entries)[0])
-        if lowest < -POSITIVITY_TOL:
-            raise AlgebraError(
-                f"density is not positive: most negative eigenvalue {lowest:.3e}")
+        if not lowest >= -POSITIVITY_TOL:
+            raise AlgebraError(f"density is not positive: most negative eigenvalue {lowest:.3e}")
+
+    @classmethod
+    def _trusted(cls, matrix: Observable) -> "DensityObservable":
+        """The density of an Observable positive by construction; only its trace is gated."""
+        self = object.__new__(cls)
+        self._hold(matrix)
+        return self
+
+    def _hold(self, obs: Observable) -> None:
+        """Gate the unit trace and store the matrix."""
+        tr = np.trace(obs.entries)
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise AlgebraError(f"density trace must be 1, got {tr!r}")
         object.__setattr__(self, "matrix", obs)
 
     def __setattr__(self, name, value):
@@ -99,8 +115,8 @@ class DensityObservable:
 
 def pure_density(psi: StateVector) -> DensityObservable:
     """Rank-one density |psi><psi| of a pure state."""
-    return DensityObservable(Observable(np.outer(psi.amplitudes,
-                                                 psi.amplitudes.conj())))
+    return DensityObservable._trusted(Observable._trusted(np.outer(psi.amplitudes,
+                                                                   psi.amplitudes.conj())))
 
 
 def expectation(d: DensityObservable, p: PseudoObservable) -> complex:
@@ -133,5 +149,4 @@ def transform_state(t: Transformation, psi: StateVector) -> StateVector:
 
 def transform_density(t: Transformation, d: DensityObservable) -> DensityObservable:
     """D -> tau^{-1}(D) = W^dagger D W, the density transformation law."""
-    e = t.w.entries
-    return DensityObservable(Observable(e.conj().T @ d.matrix.entries @ e))
+    return DensityObservable._trusted(_conjugate(t.w.entries.conj().T, d.matrix))

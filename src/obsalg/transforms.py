@@ -29,6 +29,7 @@ from .core import (
     _check_orthonormal,
     _check_same_dim,
     _clusters,
+    _conjugate,
     _frozen,
     _spectral_apply,
     _spectral_frame,
@@ -140,7 +141,7 @@ class Transformation:
     @property
     def generatrix(self) -> Observable:
         """G = sum_j g_j I_j, built from the basis on each read."""
-        return Observable(self.basis.combine(self.basis.labels))
+        return Observable._trusted(self.basis.combine(self.basis.labels))
 
     @classmethod
     def identity(cls, dim: int) -> "Transformation":
@@ -179,10 +180,7 @@ def from_generatrix(g: PseudoObservable) -> Transformation:
 
 def apply(t: Transformation, p: PseudoObservable) -> PseudoObservable:
     """tau(P) = W P W^dagger; Observables stay Observables."""
-    out = t.w.entries @ p.entries @ t.w.entries.conj().T
-    if isinstance(p, Observable):
-        return Observable(out, p.unit_tag)
-    return PseudoObservable(out, p.unit_tag)
+    return _conjugate(t.w.entries, p)
 
 
 def inverse(t: Transformation) -> Transformation:

@@ -180,3 +180,50 @@ def test_overflowing_schrodinger_residual_is_reported_not_warned(tmp_path):
     audit = json.loads((tmp_path / "free_particle_audit.json").read_text())
     check = next(c for c in audit["checks"] if c["name"] == "schrodinger_residual")
     assert not check["pass"] and check["residuals"]["residual_tau"] == math.inf
+
+
+def _matrix(*entries) -> dict:
+    """A 2x2 matrix document with row-major [re, im] entries."""
+    return {"dim": 2, "entries": [list(e) for e in entries]}
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("initial_state, state_doc, operators, hamiltonian, where", [
+    ("density_file", _matrix((0.5, 0), (0.5, 0), (0, 0), (0.5, 0)), {}, None,
+     "config.initial_state.density_file"),                        # not Hermitian
+    ("density_file", _matrix((1.5, 0), (0, 0), (0, 0), (-0.5, 0)), {}, None,
+     "config.initial_state.density_file"),                        # not positive
+    ("density_file", _matrix((NAN, 0), (0, 0), (0, 0), (0.5, 0)), {}, None,
+     "config.initial_state.density_file.entries[0]"),
+    ("vector_file", {"dim": 2, "amplitudes": [[1, 0], [1, 0]]}, {}, None,
+     "config.initial_state.vector_file"),                         # not normalized
+    ("vector_file", {"dim": 2, "amplitudes": [[NAN, 0], [1, 0]]}, {}, None,
+     "config.initial_state.vector_file.amplitudes[0]"),
+    ("vector_file", {"dim": 2, "amplitudes": [[True, 0], [0, 0]]}, {}, None,
+     "config.initial_state.vector_file.amplitudes[0]"),
+    (None, None, {"SX": _matrix((0, 0), (True, 0), (1, 0), (0, 0))}, None,
+     "config.operators.SX.entries[1]"),
+    (None, None, {"B": _matrix((INF, 0), (0, 0), (0, 0), (1, 0))}, None,
+     "config.operators.B.entries[0]"),                            # not used by H
+    (None, None, {"C": _matrix((0, 0), (0, 0), (1, 0), (0, 0))}, "C",
+     "config.hamiltonian"),                                       # C = |1><0|
+], ids=["density-not-hermitian", "density-not-positive", "density-nan",
+        "vector-not-normalized", "vector-nan", "vector-bool", "matrix-bool",
+        "unused-operator-inf", "hamiltonian-not-hermitian"])
+def test_malformed_document_or_state_names_its_field(tmp_path, initial_state, state_doc,
+                                                     operators, hamiltonian, where):
+    doc = json.loads(resources.files("obsalg.data").joinpath("rabi.json").read_text())
+    doc["grid"]["steps"] = 5
+    doc["operators"].update(operators)
+    if hamiltonian is not None:
+        doc["hamiltonian"] = hamiltonian
+    if initial_state is not None:
+        (tmp_path / "state.json").write_text(json.dumps(state_doc))
+        doc["initial_state"] = {initial_state: "state.json"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path)])
+    assert code == 2, err
+    assert f"validation error: {where}:" in err

@@ -205,6 +205,15 @@ def test_apply_tabulated_missing_point():
         apply_function({0.0: 5.0}, a)
 
 
+def test_tabulated_keys_match_relative_to_the_spectral_radius():
+    # keys are told apart like the eigenvalues they label, as the callable form is
+    a = Observable(np.diag([1e-12, 2e-12]))
+    out = apply_function({1e-12: 5.0, 2e-12: 7.0}, a)
+    assert np.diag(out.entries).tolist() == [5.0, 7.0]
+    assert apply_function({0.0: 3.0}, Observable.zeros(2)).distance(
+        3.0 * PseudoObservable.identity(2)) == 0.0
+
+
 def test_function_composition(rng):
     a = random_hermitian(rng, 4)
     f = lambda x: x ** 2 + 1.0
