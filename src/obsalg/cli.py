@@ -19,7 +19,7 @@ from .canonical import commutator_limit_probe
 from .core import AlgebraError
 from .evolution import TimeGrid
 from .scenarios import config_from_doc, run_scenario
-from .serialize import SchemaError, dump_json, load_json, write_csv
+from .serialize import SchemaError, _number, dump_json, load_json, write_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,11 +43,17 @@ def _resolve_config(ref: str) -> tuple[dict, Path]:
     return load_json(path), path.parent
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise SchemaError("--n-list/--dims", f"expected comma-separated integers: {exc}")
+def _integers(minimum: int, single: bool = False):
+    """argparse ``type=`` reader: integers >= ``minimum``, comma-separated unless ``single``."""
+    def read(text: str):
+        try:
+            values = [int(item) for item in ([text] if single else text.split(","))]
+            if min(values) >= minimum:
+                return values[0] if single else values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected integers >= {minimum}, got {text!r}")
+    return read
 
 
 def cmd_run(args) -> int:
@@ -69,8 +75,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    dims = _parse_int_list(args.dims)
-    report = run_audit(dims, args.seed, planted_failure=args.self_test_fail)
+    report = run_audit(args.dims, args.seed, planted_failure=args.self_test_fail)
     if args.out:
         outpath = Path(args.out)
         outpath.parent.mkdir(parents=True, exist_ok=True)
@@ -87,7 +92,7 @@ def cmd_sweep(args) -> int:
     outpath = Path(args.out) if args.out else outdir / f"sweep_{args.kind}.csv"
     outpath.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "weyl":
-        rows = commutator_limit_probe(_parse_int_list(args.n_list))
+        rows = commutator_limit_probe(args.n_list)
         write_csv(outpath,
                   ["n", "epsilon", "trace_residual", "interior_max_dev",
                    "edge_defect_weight"],
@@ -113,6 +118,8 @@ def _convergence_rows(halvings: int) -> list[list]:
     for name in ("rabi", "oscillator"):
         doc, base = _resolve_config(name)
         config = config_from_doc(doc, base)
+        _number(config.grid.tau * 0.5 ** halvings, f"--halvings ({name}: tau/2^{halvings})",
+                positive=True)
         for k in range(halvings + 1):
             tau = config.grid.tau / 2 ** k
             result = run_scenario(dataclasses.replace(
@@ -136,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_audit = sub.add_parser("audit", help="run the randomized invariant suites")
-    p_audit.add_argument("--dims", default="4,8,16", help="comma-separated dimensions")
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--dims", type=_integers(2), default="4,8,16",
+                         help="comma-separated dimensions, each >= 2")
+    p_audit.add_argument("--seed", type=_integers(0, single=True), default=0, help=">= 0")
     p_audit.add_argument("--out", help="write the JSON report here")
     p_audit.add_argument("--self-test-fail", action="store_true",
                          help="plant a failing check (negative control)")
@@ -145,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="emit a convergence table as CSV")
     p_sweep.add_argument("kind", choices=["weyl", "convergence"])
-    p_sweep.add_argument("--n-list", default="8,16,32,64",
-                         help="level counts for the weyl sweep")
-    p_sweep.add_argument("--halvings", type=int, default=3,
-                         help="tau halvings for the convergence sweep")
+    p_sweep.add_argument("--n-list", type=_integers(2), default="8,16,32,64",
+                         help="comma-separated level counts for the weyl sweep, each >= 2")
+    p_sweep.add_argument("--halvings", type=_integers(0, single=True), default=3,
+                         help="tau halvings for the convergence sweep, >= 0")
     p_sweep.add_argument("--out", help="output CSV path")
     p_sweep.set_defaults(fn=cmd_sweep)
     return parser

@@ -274,19 +274,26 @@ def von_neumann_step_residual(engine: EvolutionEngine, d: DensityObservable, t: 
     return opnorm((u.conj().T @ rho @ u - rho) / step - gen)
 
 
-def _halving_report(name: str, engine: EvolutionEngine, t: float, residual_at,
+def _h_norm(engine: EvolutionEngine, t: float) -> float:
+    """||H(t)||, taken once per public ``*_residual`` check, with a regime warning
+    issued at the check's caller; a scenario run passes its own to ``_*_report``."""
+    h_norm = engine.hamiltonian.evaluate(t).norm()
+    regime = engine.grid.tau * h_norm / engine.hbar
+    if regime > 0.5:
+        warnings.warn(f"tau*||H||/hbar = {regime:.2f} > 0.5; "
+                      f"difference quotients are far from the continuum regime",
+                      stacklevel=3)
+    return h_norm
+
+
+def _halving_report(name: str, engine: EvolutionEngine, h_norm: float, residual_at,
                     o_scale: float = 1.0) -> CheckReport:
     """Evaluate a step residual at tau and tau/2; first order means ratio <= 0.6.
 
-    One ||H(t)|| sets the regime warning, issued at the check's caller, and
-    the floor ``1e-12 * o_scale * max(1, ||H||)`` of a zero residual.
+    ``h_norm`` = ||H(t)|| sets the floor ``1e-12 * o_scale * max(1, ||H||)`` of
+    a zero residual.
     """
-    h_norm = engine.hamiltonian.evaluate(t).norm()
     tau = engine.grid.tau
-    if tau * h_norm / engine.hbar > 0.5:
-        warnings.warn(f"tau*||H||/hbar = {tau * h_norm / engine.hbar:.2f} > 0.5; "
-                      f"difference quotients are far from the continuum regime",
-                      stacklevel=3)
     r_tau = residual_at(tau)
     r_half = residual_at(tau / 2)
     floor = 1e-12 * (o_scale * max(1.0, h_norm))
@@ -303,32 +310,47 @@ def _halving_report(name: str, engine: EvolutionEngine, t: float, residual_at,
     )
 
 
+def _heisenberg_report(engine: EvolutionEngine, node: ObservableExpr, t: float,
+                       h_norm: float) -> CheckReport:
+    o_t = engine.hamiltonian.value(node, t)
+    v = np.eye(engine.dim, dtype=complex)
+    return _halving_report(
+        "heisenberg_residual", engine, h_norm,
+        lambda step: heisenberg_step_residual(engine, node, t, step, v, o_t.entries),
+        max(1.0, o_t.norm()))
+
+
+def _schrodinger_report(engine: EvolutionEngine, psi: StateVector, t: float,
+                        h_norm: float) -> CheckReport:
+    return _halving_report(
+        "schrodinger_residual", engine, h_norm,
+        lambda step: schrodinger_step_residual(engine, psi, t, step))
+
+
+def _von_neumann_report(engine: EvolutionEngine, d: DensityObservable, t: float,
+                        h_norm: float) -> CheckReport:
+    return _halving_report(
+        "von_neumann_residual", engine, h_norm,
+        lambda step: von_neumann_step_residual(engine, d, t, step))
+
+
 def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
                         t: float) -> CheckReport:
     """:func:`heisenberg_step_residual` of O at tau and tau/2."""
     node = parse(o_expr) if isinstance(o_expr, str) else o_expr
-    o_t = engine.hamiltonian.value(node, t)
-    v = np.eye(engine.dim, dtype=complex)
-    return _halving_report(
-        "heisenberg_residual", engine, t,
-        lambda step: heisenberg_step_residual(engine, node, t, step, v, o_t.entries),
-        max(1.0, o_t.norm()))
+    return _heisenberg_report(engine, node, t, _h_norm(engine, t))
 
 
 def schrodinger_residual(engine: EvolutionEngine, psi: StateVector,
                          t: float) -> CheckReport:
     """:func:`schrodinger_step_residual` of Psi at tau and tau/2."""
-    return _halving_report(
-        "schrodinger_residual", engine, t,
-        lambda step: schrodinger_step_residual(engine, psi, t, step))
+    return _schrodinger_report(engine, psi, t, _h_norm(engine, t))
 
 
 def von_neumann_residual(engine: EvolutionEngine, d: DensityObservable,
                          t: float) -> CheckReport:
     """:func:`von_neumann_step_residual` of D at tau and tau/2."""
-    return _halving_report(
-        "von_neumann_residual", engine, t,
-        lambda step: von_neumann_step_residual(engine, d, t, step))
+    return _von_neumann_report(engine, d, t, _h_norm(engine, t))
 
 
 # ---------------------------------------------------------------------------

@@ -23,23 +23,25 @@ from .core import AlgebraError, Observable, PseudoObservable, as_observable
 # perfbench's test_traced_call_restores_every_wrapped_name reads scenarios.opnorm
 from .core import opnorm  # noqa: F401
 from .evolution import (
+    PICTURES,
     EvolutionEngine,
     Hamiltonian,
     TimeGrid,
-    heisenberg_residual,
+    _heisenberg_report,
+    _schrodinger_report,
+    _von_neumann_report,
     heisenberg_step,
     heisenberg_step_residual,
-    schrodinger_residual,
     schrodinger_step,
     schrodinger_step_residual,
-    von_neumann_residual,
     von_neumann_step,
     von_neumann_step_residual,
 )
-from .expr import EvalContext, ExprSyntaxError, parse
+from .expr import EvalContext, ObservableExpr
 from .rand import random_hermitian
 from .report import CheckReport
-from .serialize import SchemaError, _number, load_json, matrix_from_doc, vector_from_doc
+from .serialize import (SchemaError, _check_type, _expression, _integer, _number, _require,
+                        load_json, matrix_from_doc, vector_from_doc)
 from .states import (
     DensityObservable,
     StateVector,
@@ -55,7 +57,7 @@ _NAME = re.compile(r"[A-Za-z0-9_.-]{1,100}")
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
-    hamiltonian: str
+    hamiltonian: ObservableExpr
     grid: TimeGrid
     picture: str = "schrodinger"
     hbar: float = 1.0
@@ -64,23 +66,8 @@ class ScenarioConfig:
     operators: dict[str, PseudoObservable] = field(default_factory=dict)
     constants: dict[str, float] = field(default_factory=dict)
     initial_state: Any = 0
-    observables_to_trace: dict[str, str] = field(default_factory=dict)
+    observables_to_trace: dict[str, ObservableExpr] = field(default_factory=dict)
     seed: int = 0
-
-
-def _check_type(value, types, path: str, what: str):
-    if not isinstance(value, types):
-        raise SchemaError(path, f"expected {what}, got {type(value).__name__}")
-    return value
-
-
-def _integer(value, path: str, minimum: int) -> int:
-    """A JSON integer (never a bool or a float) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
-    if value < minimum:
-        raise SchemaError(path, f"must be at least {minimum}, got {value}")
-    return value
 
 
 def _name(value) -> str:
@@ -93,31 +80,23 @@ def _name(value) -> str:
 
 
 def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
-    """Validate a scenario document; errors carry field paths."""
+    """Validate a scenario document and parse its expressions; errors carry field paths."""
     base = Path(base_dir)
     _check_type(doc, dict, "config", "an object")
     name = _name(doc.get("name", "scenario"))
-    source = _check_type(_require_field(doc, "hamiltonian"), str,
-                         "config.hamiltonian", "an expression string")
-    try:
-        parse(source)
-    except ExprSyntaxError as exc:
-        raise SchemaError("config.hamiltonian", str(exc)) from exc
+    hamiltonian = _expression(_require(doc, "hamiltonian", "config"), "config.hamiltonian")
 
-    grid_doc = _check_type(_require_field(doc, "grid"), dict, "config.grid", "an object")
-    for key in ("tau", "steps"):
-        if key not in grid_doc:
-            raise SchemaError(f"config.grid.{key}", "missing required field")
-    grid = TimeGrid(tau=_number(grid_doc["tau"], "config.grid.tau", positive=True),
-                    steps=_integer(grid_doc["steps"], "config.grid.steps", 1),
-                    t0=_number(grid_doc.get("t0", 0.0), "config.grid.t0"))
+    grid_doc = _check_type(_require(doc, "grid", "config"), dict, "config.grid", "an object")
+    grid = TimeGrid(
+        tau=_number(_require(grid_doc, "tau", "config.grid"), "config.grid.tau", positive=True),
+        steps=_integer(_require(grid_doc, "steps", "config.grid"), "config.grid.steps", 1),
+        t0=_number(grid_doc.get("t0", 0.0), "config.grid.t0"))
     if not math.isfinite(grid.t0 + grid.tau * grid.steps):
         raise SchemaError("config.grid.tau", "the end time t0 + tau*steps is not finite")
 
     picture = doc.get("picture", "schrodinger")
-    if picture not in ("schrodinger", "heisenberg"):
-        raise SchemaError("config.picture",
-                          f"expected 'schrodinger' or 'heisenberg', got {picture!r}")
+    if picture not in PICTURES:
+        raise SchemaError("config.picture", f"expected one of {PICTURES}, got {picture!r}")
 
     hbar = _number(doc.get("hbar", 1.0), "config.hbar", positive=True)
     n = doc.get("n")
@@ -151,26 +130,14 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     traces = {}
     for tname, tsrc in _check_type(doc.get("observables_to_trace", {}), dict,
                                    "config.observables_to_trace", "an object").items():
-        path = f"config.observables_to_trace.{tname}"
-        src = _check_type(tsrc, str, path, "an expression string")
-        try:
-            parse(src)
-        except ExprSyntaxError as exc:
-            raise SchemaError(path, str(exc)) from exc
-        traces[tname] = src
+        traces[tname] = _expression(tsrc, f"config.observables_to_trace.{tname}")
 
     return ScenarioConfig(
-        name=name, hamiltonian=source, grid=grid, picture=picture,
+        name=name, hamiltonian=hamiltonian, grid=grid, picture=picture,
         hbar=hbar, n=n, epsilon=epsilon, operators=operators, constants=constants,
         initial_state=doc.get("initial_state", 0),
         observables_to_trace=traces,
         seed=_integer(doc.get("seed", 0), "config.seed", 0))
-
-
-def _require_field(doc: dict, key: str):
-    if key not in doc:
-        raise SchemaError(f"config.{key}", "missing required field")
-    return doc[key]
 
 
 def build_engine(config: ScenarioConfig) -> EvolutionEngine:
@@ -194,23 +161,19 @@ def build_engine(config: ScenarioConfig) -> EvolutionEngine:
     hamiltonian = Hamiltonian(config.hamiltonian, ctx, config.hbar)
     # H(t0), the step generator and, in the Heisenberg picture, [O(t0), H(t0)]
     # for each traced O must be finite (checked here, so overflow is not also
-    # warned about), and H(t0) Hermitian; an expression that fails to evaluate
-    # stays a runtime failure.  Values are read unvalidated through H's memo:
-    # an Observable would reject non-finite entries before this check could
-    # name the field, and the memo holds one exactly when the value is Hermitian.
+    # warned about); an expression that fails to evaluate stays a runtime
+    # failure.  Values are read unvalidated through H's memo: an Observable
+    # would reject non-finite entries before this check could name the field.
     with np.errstate(over="ignore", invalid="ignore"):
-        h_t0 = hamiltonian.value(hamiltonian.expr, config.grid.t0)
-        h0 = h_t0.entries
+        h0 = hamiltonian.value(hamiltonian.expr, config.grid.t0).entries
         if not np.isfinite(h0).all():
             raise SchemaError("config.hamiltonian", "H(t0) has non-finite entries")
-        if not isinstance(h_t0, Observable):
-            raise SchemaError("config.hamiltonian", "H(t0) is not Hermitian")
         if not np.isfinite((config.grid.tau / config.hbar) * h0).all():
             raise SchemaError("config.grid.tau", "the step generator (tau/hbar) H(t0) "
                                                  "has non-finite entries")
-        for name, src in (config.observables_to_trace.items()
-                          if config.picture == "heisenberg" else ()):
-            o = hamiltonian.value(parse(src), config.grid.t0).entries
+        for name, node in (config.observables_to_trace.items()
+                           if config.picture == "heisenberg" else ()):
+            o = hamiltonian.value(node, config.grid.t0).entries
             if not np.isfinite(o @ h0 - h0 @ o).all():
                 raise SchemaError("config.hamiltonian", f"[O(t0), H(t0)] for the traced "
                                                         f"{name!r} has non-finite entries")
@@ -301,18 +264,19 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     (norm for vector states, trace for densities).  The residual is the
     ``*_step_residual`` of :mod:`obsalg.evolution` at tau; in the Heisenberg
     picture it is the maximum over the traced observables, each read as
-    V_m O V_m^dagger in :meth:`EvolutionEngine.heisenberg_frames`.
+    V_m O V_m^dagger in :meth:`EvolutionEngine.heisenberg_frames`.  Each traced
+    value at every row, and H at every t the run steps from, must be Hermitian.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
     initial = _initial_state(config, engine.dim, base_dir)
-    traced = {name: parse(src) for name, src in config.observables_to_trace.items()}
+    traced = config.observables_to_trace
     # a constant H is read with the traced observables, as one more node unless
     # it is traced (a traced copy shares H's memo entry): its column is the energy
-    nodes = list(traced.values())
-    if not ham.time_dependent and ham.expr not in nodes:
-        nodes.append(ham.expr)
-    energy_at = None if ham.time_dependent else nodes.index(ham.expr)
+    fields = [(f"config.observables_to_trace.{name}", node) for name, node in traced.items()]
+    if not ham.time_dependent and ham.expr not in traced.values():
+        fields.append(("config.hamiltonian", ham.expr))
+    energy_at = None if ham.time_dependent else [node for _, node in fields].index(ham.expr)
 
     header = ["step", "t", *traced.keys(), "equation_residual", "state_drift"]
     rows: list[list[float]] = []
@@ -324,7 +288,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
               else ((float(t), None) for t in engine.grid.times()))
 
     for step, (t, v) in enumerate(frames):
-        read = [ham.value(node, t) for node in nodes]
+        if step < engine.grid.steps:
+            _observable(ham, ham.expr, t, "config.hamiltonian")
+        read = [_observable(ham, node, t, path) for path, node in fields]
         if v is not None:
             read = [PseudoObservable(v @ o.entries @ v.conj().T) for o in read]
         expectations = [expect(state, o).real for o in read]
@@ -346,6 +312,14 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
 
     checks = _scenario_checks(config, engine, initial, energy_series)
     return ScenarioResult(config, header, rows, checks)
+
+
+def _observable(ham: Hamiltonian, node: ObservableExpr, t: float, path: str) -> Observable:
+    """``node`` at t from H's memo, which holds an Observable exactly when it is Hermitian."""
+    value = ham.value(node, t)
+    if not isinstance(value, Observable):
+        raise SchemaError(path, f"not a finite Hermitian matrix at t = {t!r}")
+    return value
 
 
 def _state_drift(state: StateVector | DensityObservable) -> float:
@@ -388,15 +362,16 @@ def _scenario_checks(config: ScenarioConfig, engine: EvolutionEngine,
 
     # equation-residual halving checks hold in the continuum regime only;
     # outside it (tau*||H||/hbar > 0.5) record the regime instead of a
-    # meaningless ratio -- the abscissa demo steps at tau = epsilon on purpose
-    regime = engine.grid.tau * engine.hamiltonian.evaluate(t0).norm() / engine.hbar
+    # meaningless ratio -- the abscissa demo steps at tau = epsilon on purpose.
+    # The checks reuse this one ||H(t0)||.
+    h_norm = engine.hamiltonian.evaluate(t0).norm()
+    regime = engine.grid.tau * h_norm / engine.hbar
     if regime <= 0.5:
-        probe_expr = (next(iter(config.observables_to_trace.values()))
-                      if config.observables_to_trace else engine.hamiltonian.expr)
-        checks.append(heisenberg_residual(engine, probe_expr, t0))
+        probe = next(iter(config.observables_to_trace.values()), engine.hamiltonian.expr)
+        checks.append(_heisenberg_report(engine, probe, t0, h_norm))
         if isinstance(initial, StateVector):
-            checks.append(schrodinger_residual(engine, initial, t0))
-        checks.append(von_neumann_residual(engine, density, t0))
+            checks.append(_schrodinger_report(engine, initial, t0, h_norm))
+        checks.append(_von_neumann_report(engine, density, t0, h_norm))
     else:
         checks.append(CheckReport(
             name="equation_residual_regime",

@@ -5,7 +5,8 @@ in row-major order and an optional ``"unit_tag"``.  Vectors use
 ``"amplitudes"`` in place of ``"entries"``.  Every ``re`` and ``im`` is a
 finite JSON number, never a bool.  CSV numbers are written in fixed
 scientific notation with 17 significant digits so that identical runs produce
-byte-identical files.
+byte-identical files.  The ``_``-prefixed readers read every field of these
+documents and of scenario configs, naming its path in a :class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Any
 import numpy as np
 
 from .core import AlgebraError, PseudoObservable
+from .expr import ExprSyntaxError, ObservableExpr, parse
 from .states import StateVector
 
 
@@ -34,6 +36,28 @@ def _require(doc: dict, key: str, path: str) -> Any:
     if key not in doc:
         raise SchemaError(f"{path}.{key}", "missing required field")
     return doc[key]
+
+
+def _check_type(value, types, path: str, what: str):
+    if not isinstance(value, types):
+        raise SchemaError(path, f"expected {what}, got {type(value).__name__}")
+    return value
+
+
+def _integer(value, path: str, minimum: int) -> int:
+    """A JSON integer (never a bool or a float) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise SchemaError(path, f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _expression(value, path: str) -> ObservableExpr:
+    try:
+        return parse(_check_type(value, str, path, "an expression string"))
+    except ExprSyntaxError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _number(value, path: str, positive: bool = False) -> float:
@@ -73,11 +97,8 @@ def matrix_to_doc(p: PseudoObservable) -> dict:
 
 
 def matrix_from_doc(doc: dict, path: str = "matrix") -> PseudoObservable:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected a matrix document object")
-    dim = _require(doc, "dim", path)
-    if not isinstance(dim, int) or dim < 2:
-        raise SchemaError(f"{path}.dim", f"expected an integer >= 2, got {dim!r}")
+    _check_type(doc, dict, path, "a matrix document object")
+    dim = _integer(_require(doc, "dim", path), f"{path}.dim", 2)
     flat = _pairs_to_complex(_require(doc, "entries", path), dim * dim,
                              f"{path}.entries")
     return PseudoObservable(flat.reshape(dim, dim), doc.get("unit_tag"))
@@ -89,11 +110,8 @@ def vector_to_doc(psi: StateVector) -> dict:
 
 
 def vector_from_doc(doc: dict, path: str = "vector") -> StateVector:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected a vector document object")
-    dim = _require(doc, "dim", path)
-    if not isinstance(dim, int) or dim < 2:
-        raise SchemaError(f"{path}.dim", f"expected an integer >= 2, got {dim!r}")
+    _check_type(doc, dict, path, "a vector document object")
+    dim = _integer(_require(doc, "dim", path), f"{path}.dim", 2)
     amps = _pairs_to_complex(_require(doc, "amplitudes", path), dim,
                              f"{path}.amplitudes")
     return StateVector(amps)

@@ -1,0 +1,197 @@
+"""Each run input is read once, by one reader, and Hermiticity by one rule.
+
+* every CLI flag is read by an argparse ``type=`` reader: a bad value exits 2
+  and names the flag, with no traceback;
+* every expression value a run reads must be Hermitian: a traced observable
+  at every row, H at every time the run steps from; otherwise the run exits
+  2 naming the field and t;
+* a run parses each expression field once and takes ||H(t0)|| once.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import traceback
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from obsalg import expr
+from obsalg.cli import BUNDLED, _resolve_config, main
+from obsalg.scenarios import build_engine, config_from_doc, run_scenario
+
+
+def bundled_doc(name: str) -> dict:
+    return json.loads(resources.files("obsalg.data").joinpath(f"{name}.json").read_text())
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``obsalg``, an argparse exit included; an
+    uncaught exception exits 1 with a traceback, as the interpreter would report it."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = 1
+            err.write(traceback.format_exc())
+    return code, err.getvalue()
+
+
+# --- flags ----------------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "weyl", "--n-list", "0"], "--n-list"),
+    (["sweep", "weyl", "--n-list", "-2"], "--n-list"),
+    (["sweep", "weyl", "--n-list", "1"], "--n-list"),
+    (["sweep", "weyl", "--n-list", ","], "--n-list"),
+    (["audit", "--dims", "-4"], "--dims"),
+    (["audit", "--dims", "0"], "--dims"),
+    (["audit", "--dims", "1"], "--dims"),
+    (["audit", "--dims", "4", "--seed", "-1"], "--seed"),
+    (["sweep", "convergence", "--halvings", "-1"], "--halvings"),
+    (["sweep", "convergence", "--halvings", "1100"], "--halvings"),
+], ids=["n-list-0", "n-list-negative", "n-list-1", "n-list-empty", "dims-negative",
+        "dims-0", "dims-1", "seed-negative", "halvings-negative", "halvings-underflow"])
+def test_bad_flag_exits_2_naming_the_flag(tmp_path, argv, flag):
+    out = tmp_path / "out"
+    code, err = run_cli([*argv, "--out", str(out)])
+    assert code == 2, err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bad_flag_from_the_console_entry_under_warnings_as_errors(tmp_path):
+    # tau / 2^1100 underflows: the sweep must refuse it before stepping with it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "obsalg.cli", "sweep", "convergence",
+         "--halvings", "1100", "--out", str(tmp_path / "conv.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("validation error: --halvings")
+    assert "Traceback" not in proc.stderr
+
+
+def test_good_flags_keep_their_defaults_and_lists():
+    from obsalg.cli import build_parser
+    parser = build_parser()
+    audit = parser.parse_args(["audit"])
+    assert (audit.dims, audit.seed) == ([4, 8, 16], 0)
+    sweep = parser.parse_args(["sweep", "weyl", "--n-list", "8, 16", "--halvings", "0"])
+    assert (sweep.n_list, sweep.halvings) == ([8, 16], 0)
+
+
+# --- Hermiticity ----------------------------------------------------------------------------
+
+def _rabi_first_step() -> float:
+    doc = bundled_doc("rabi")
+    return doc["grid"].get("t0", 0.0) + doc["grid"]["tau"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, edits, where, t", [
+    ("free_particle", {"observables_to_trace": {"s": "S"}},
+     "config.observables_to_trace.s", 0.0),
+    ("rabi", {"observables_to_trace": {"x": "SZ + t*i*SX"}},
+     "config.observables_to_trace.x", _rabi_first_step()),
+    ("rabi", {"hamiltonian": "(omega/2)*SX + t*i*SZ"}, "config.hamiltonian",
+     _rabi_first_step()),
+], ids=["traced-shift", "traced-later", "hamiltonian-later"])
+def test_non_hermitian_read_exits_2_naming_the_field_and_t(tmp_path, scenario, edits,
+                                                           where, t):
+    doc = bundled_doc(scenario)
+    doc.update(edits)
+    doc["grid"]["steps"] = 5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert err.startswith(f"validation error: {where}:") and f"t = {t!r}" in err
+    assert "Traceback" not in err
+
+
+def test_driven_hamiltonian_is_not_read_at_the_end_time():
+    # no step starts at T, so a driven H that is Hermitian at every other grid
+    # time (its i*SZ term vanishes there) is not read at T, and the run completes
+    doc = bundled_doc("rabi")
+    doc["grid"] = {"tau": 0.25, "steps": 4}
+    doc["hamiltonian"] = "(omega/2)*SX + t*(t - 0.25)*(t - 0.5)*(t - 0.75)*i*SZ"
+    result = run_scenario(config_from_doc(doc))
+    assert len(result.rows) == 5
+
+
+# --- one parse per expression field, one norm of H(t0) ----------------------------------------
+
+def _count_parses(monkeypatch) -> list[str]:
+    """Record every ``expr.parse`` call, wherever obsalg holds the function."""
+    sources = []
+    original = expr.parse
+
+    def counting(source):
+        sources.append(source)
+        return original(source)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("obsalg") and getattr(module, "parse", None) is original:
+            monkeypatch.setattr(module, "parse", counting)
+    return sources
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_run_parses_each_expression_field_once(tmp_path, monkeypatch, name):
+    doc = bundled_doc(name)
+    fields = [doc["hamiltonian"], *doc["observables_to_trace"].values()]
+    sources = _count_parses(monkeypatch)
+    code, err = run_cli(["run", name, "--out", str(tmp_path)])
+    assert code == 0, err
+    assert sorted(sources) == sorted(fields)
+
+
+def test_oscillator_run_takes_one_norm_of_h_t0(tmp_path, monkeypatch):
+    doc, base = _resolve_config("oscillator")
+    engine = build_engine(config_from_doc(doc, base))
+    h0 = engine.hamiltonian.evaluate(engine.grid.t0).entries
+    of_h0 = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        of_h0.append(np.array_equal(a, h0))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    code, err = run_cli(["run", "oscillator", "--out", str(tmp_path)])
+    assert code == 0, err
+    assert (len(of_h0), sum(of_h0)) == (10, 1)
+
+
+# --- the explicit-time Heisenberg residual -----------------------------------------------------
+
+def test_explicitly_time_dependent_heisenberg_trace_and_residual():
+    doc = bundled_doc("rabi")
+    doc["grid"] = {"tau": 0.01, "steps": 50}
+    doc["observables_to_trace"] = {"o": "cos(t)*SZ + t*SX"}
+    runs = {}
+    for picture in ("heisenberg", "schrodinger"):
+        doc["picture"] = picture
+        runs[picture] = run_scenario(config_from_doc(doc))
+    heis, schr = runs["heisenberg"], runs["schrodinger"]
+    column = np.array(schr.column("o"))
+    scale = max(1.0, float(np.max(np.abs(column))))
+    assert np.max(np.abs(np.array(heis.column("o")) - column)) <= 1e-12 * scale
+
+    report = next(c for c in heis.checks if c.name == "heisenberg_residual")
+    assert report.passed
+    assert 0 < report.residuals["halving_ratio"] <= 0.6
+    assert heis.column("equation_residual")[0] == report.residuals["residual_tau"]
+    assert math.isfinite(report.residuals["residual_tau"])
