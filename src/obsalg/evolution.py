@@ -18,9 +18,10 @@ Magnus term (1/2) int int [H(t1), H(t2)]: O(T^2), not shrinking with tau.
 
 Difference-quotient residuals against the continuous equations of motion
 (Heisenberg, Schroedinger, von Neumann) are first order in tau.  Each
-equation has one ``*_step_residual`` function giving the residual of one
-step of a given size; the trajectory trace reports it at tau, and each
-``*_residual`` check reports it at tau and tau/2 and their ratio.
+equation has one ``*_step_residual`` function, the residual of one step of a
+given size: the trace reports it at tau on the run's own step, each
+``*_residual`` check at tau and tau/2 one step from the identity frame.  The
+Heisenberg and von Neumann residuals read the two values their step connects.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .states import DensityObservable, StateVector
 from .transforms import unitary_defect, unitary_exponential
 
 PICTURES = ("heisenberg", "schrodinger")
+REGIME_BOUND = 0.5  # tau*||H||/hbar beyond which difference quotients leave the continuum
 
 
 @dataclass(frozen=True)
@@ -202,10 +204,10 @@ def schrodinger_step(engine: EvolutionEngine, psi: StateVector, t: float) -> Sta
     return StateVector(u.conj().T @ psi.amplitudes)
 
 
-def von_neumann_step(engine: EvolutionEngine, d: DensityObservable,
-                     t: float) -> DensityObservable:
-    """D(t+tau) = U^dagger D U; trace, spectrum and positivity preserved."""
-    return DensityObservable._trusted(_conjugate(engine.unitary(t).entries.conj().T, d.matrix))
+def von_neumann_step(engine: EvolutionEngine, d: DensityObservable, t: float,
+                     step: float | None = None) -> DensityObservable:
+    """D(t+step) = U^dagger D U, step defaulting to tau; trace, spectrum, positivity kept."""
+    return DensityObservable._trusted(_conjugate(engine.unitary(t, step).entries.conj().T, d.matrix))
 
 
 def reverse_step(engine: EvolutionEngine, o: Observable, t: float) -> Observable:
@@ -227,25 +229,21 @@ def reverse_step(engine: EvolutionEngine, o: Observable, t: float) -> Observable
 # ---------------------------------------------------------------------------
 
 def heisenberg_step_residual(engine: EvolutionEngine, node: ObservableExpr, t: float,
-                             step: float, v: np.ndarray, o_now: np.ndarray) -> float:
-    """|| (O(t+step)-O(t))/step - [O,H]/(i hbar) - dO/dt || for one step.
+                             step: float, v: np.ndarray, h_t: Observable,
+                             o_now: PseudoObservable, o_next: PseudoObservable) -> float:
+    """|| (O(t+step)-O(t))/step - [O,H(t)]/(i hbar) - dO/dt || for one step.
 
-    O(t) = ``o_now`` = V O_bare(t) V^dagger is read in the Heisenberg frame V
-    at t, and O(t+step) = U V O_bare(t+step) V^dagger U^dagger, the order of
-    :meth:`EvolutionEngine.heisenberg_frames`.  O_bare comes from the
-    Hamiltonian's memo; when it does not reference t, O_bare(t+step) is
-    O_bare(t) and dO/dt is exactly 0, so that term is left out.
+    ``o_now`` and ``o_next`` are O read in the frames at t and t+step, ``h_t`` is the
+    bare H(t), and dO/dt is read in the frame ``v`` at t; when O does not reference t
+    it is exactly 0 and that term is left out.
     """
-    ham = engine.hamiltonian
-    h_t = ham.evaluate(t).entries
-    u = engine.unitary(t, step).entries
-    gen = (o_now @ h_t - h_t @ o_now) / (1j * engine.hbar)
+    h, o = h_t.entries, o_now.entries
+    gen = (o @ h - h @ o) / (1j * engine.hbar)
+    quotient = (o_next.entries - o) / step - gen
     if not references_time(node):
-        return opnorm((u @ o_now @ u.conj().T - o_now) / step - gen)
-    v_dag = v.conj().T
-    o_next = u @ (v @ ham.value(node, t + step).entries @ v_dag) @ u.conj().T
-    dodt = v @ explicit_time_derivative(node, ham.ctx.with_t(t), h=step / 64).entries @ v_dag
-    return opnorm((o_next - o_now) / step - gen - dodt)
+        return opnorm(quotient)
+    dodt = explicit_time_derivative(node, engine.hamiltonian.ctx.with_t(t), h=step / 64)
+    return opnorm(quotient - v @ dodt.entries @ v.conj().T)
 
 
 def schrodinger_step_residual(engine: EvolutionEngine, psi: StateVector, t: float,
@@ -260,18 +258,17 @@ def schrodinger_step_residual(engine: EvolutionEngine, psi: StateVector, t: floa
                                     + (1j / engine.hbar) * (h_t @ psi.amplitudes)))
 
 
-def von_neumann_step_residual(engine: EvolutionEngine, d: DensityObservable, t: float,
-                              step: float) -> float:
+def von_neumann_step_residual(engine: EvolutionEngine, d: DensityObservable,
+                              d_next: DensityObservable, t: float, step: float) -> float:
     """|| (D(t+step)-D(t))/step - [H,D]/(i hbar) || for one step.
 
-    With D(t+step) = U^dagger D U the discrete generator is (1/(i hbar))[H,D],
-    the right-hand side of i hbar dD/dt = [H,D].
+    ``d_next`` = U^dagger D U is the density :func:`von_neumann_step` produced, so the
+    discrete generator is (1/(i hbar))[H,D], the right-hand side of i hbar dD/dt = [H,D].
     """
     h_t = engine.hamiltonian.evaluate(t).entries
-    u = engine.unitary(t, step).entries
     rho = d.matrix.entries
     gen = (h_t @ rho - rho @ h_t) / (1j * engine.hbar)
-    return opnorm((u.conj().T @ rho @ u - rho) / step - gen)
+    return opnorm((d_next.matrix.entries - rho) / step - gen)
 
 
 def _h_norm(engine: EvolutionEngine, t: float) -> float:
@@ -279,8 +276,8 @@ def _h_norm(engine: EvolutionEngine, t: float) -> float:
     issued at the check's caller; a scenario run passes its own to ``_*_report``."""
     h_norm = engine.hamiltonian.evaluate(t).norm()
     regime = engine.grid.tau * h_norm / engine.hbar
-    if regime > 0.5:
-        warnings.warn(f"tau*||H||/hbar = {regime:.2f} > 0.5; "
+    if regime > REGIME_BOUND:
+        warnings.warn(f"tau*||H||/hbar = {regime:.2f} > {REGIME_BOUND}; "
                       f"difference quotients are far from the continuum regime",
                       stacklevel=3)
     return h_norm
@@ -312,11 +309,12 @@ def _halving_report(name: str, engine: EvolutionEngine, h_norm: float, residual_
 
 def _heisenberg_report(engine: EvolutionEngine, node: ObservableExpr, t: float,
                        h_norm: float) -> CheckReport:
-    o_t = engine.hamiltonian.value(node, t)
-    v = np.eye(engine.dim, dtype=complex)
-    return _halving_report(
+    ham = engine.hamiltonian
+    h_t, o_t, v = ham.evaluate(t), ham.value(node, t), np.eye(engine.dim, dtype=complex)
+    return _halving_report(  # one step from the identity frame: V_1 = U(t, s) in any order
         "heisenberg_residual", engine, h_norm,
-        lambda step: heisenberg_step_residual(engine, node, t, step, v, o_t.entries),
+        lambda s: heisenberg_step_residual(engine, node, t, s, v, h_t, o_t, _conjugate(
+            engine.unitary(t, s).entries, ham.value(node, t + s))),
         max(1.0, o_t.norm()))
 
 
@@ -331,7 +329,7 @@ def _von_neumann_report(engine: EvolutionEngine, d: DensityObservable, t: float,
                         h_norm: float) -> CheckReport:
     return _halving_report(
         "von_neumann_residual", engine, h_norm,
-        lambda step: von_neumann_step_residual(engine, d, t, step))
+        lambda s: von_neumann_step_residual(engine, d, von_neumann_step(engine, d, t, s), t, s))
 
 
 def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,

@@ -13,6 +13,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -24,6 +25,7 @@ from .core import AlgebraError, Observable, PseudoObservable, as_observable
 from .core import opnorm  # noqa: F401
 from .evolution import (
     PICTURES,
+    REGIME_BOUND,
     EvolutionEngine,
     Hamiltonian,
     TimeGrid,
@@ -262,10 +264,10 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     Trace columns: step, t, one expectation column per traced observable, the
     per-step equation-of-motion residual, and the state-invariant drift
     (norm for vector states, trace for densities).  The residual is the
-    ``*_step_residual`` of :mod:`obsalg.evolution` at tau; in the Heisenberg
-    picture it is the maximum over the traced observables, each read as
-    V_m O V_m^dagger in :meth:`EvolutionEngine.heisenberg_frames`.  Each traced
-    value at every row, and H at every t the run steps from, must be Hermitian.
+    ``*_step_residual`` of :mod:`obsalg.evolution` on the run's own step; in the
+    Heisenberg picture, the maximum over the traced O read as V_m O V_m^dagger in
+    the engine's frames, set once row m+1 is read.  Each traced value at every row,
+    and H at every t the run steps from (before its unitary), must be Hermitian.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
@@ -285,29 +287,31 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     state = initial
     expect = vector_expectation if isinstance(state, StateVector) else expectation
     frames = (engine.heisenberg_frames() if config.picture == "heisenberg"
-              else ((float(t), None) for t in engine.grid.times()))
+              else zip(engine.grid.times().tolist(), repeat(None)))
+    last = engine.grid.steps
 
     for step, (t, v) in enumerate(frames):
-        if step < engine.grid.steps:
-            _observable(ham, ham.expr, t, "config.hamiltonian")
+        h_t = _observable(ham, ham.expr, t, "config.hamiltonian") if step < last else None
         read = [_observable(ham, node, t, path) for path, node in fields]
         if v is not None:
             read = [PseudoObservable(v @ o.entries @ v.conj().T) for o in read]
+            if step:  # the previous row's step ends here: O read at both of its ends
+                ends = zip(traced.values(), before_read, read)
+                rows[-1][-2] = max((heisenberg_step_residual(engine, node, *before, o_m, o)
+                                    for node, o_m, o in ends), default=0.0)
+            before, before_read = (t, tau, v, h_t), read
         expectations = [expect(state, o).real for o in read]
         if energy_at is not None:
             energy_series.append(expectations[energy_at])
 
-        if step == engine.grid.steps:
-            residual = 0.0
-        elif v is not None:
-            residual = max((heisenberg_step_residual(engine, node, t, tau, v, o.entries)
-                            for node, o in zip(traced.values(), read)), default=0.0)
+        if step == last or v is not None:
+            residual = 0.0  # a Heisenberg row's is set once the next row is read
         elif isinstance(state, StateVector):
             residual = schrodinger_step_residual(engine, state, t, tau)
             state = schrodinger_step(engine, state, t)
         else:
-            residual = von_neumann_step_residual(engine, state, t, tau)
-            state = von_neumann_step(engine, state, t)
+            ahead = von_neumann_step(engine, state, t)
+            residual, state = von_neumann_step_residual(engine, state, ahead, t, tau), ahead
         rows.append([step, t, *expectations[:len(traced)], residual, _state_drift(state)])
 
     checks = _scenario_checks(config, engine, initial, energy_series)
@@ -360,13 +364,11 @@ def _scenario_checks(config: ScenarioConfig, engine: EvolutionEngine,
         residuals={"duality_residual": duality_residual},
     ))
 
-    # equation-residual halving checks hold in the continuum regime only;
-    # outside it (tau*||H||/hbar > 0.5) record the regime instead of a
-    # meaningless ratio -- the abscissa demo steps at tau = epsilon on purpose.
-    # The checks reuse this one ||H(t0)||.
+    # halving checks need the continuum regime; outside it record the regime instead of a
+    # meaningless ratio (abscissa steps at tau = epsilon on purpose).  One ||H(t0)|| serves.
     h_norm = engine.hamiltonian.evaluate(t0).norm()
     regime = engine.grid.tau * h_norm / engine.hbar
-    if regime <= 0.5:
+    if regime <= REGIME_BOUND:
         probe = next(iter(config.observables_to_trace.values()), engine.hamiltonian.expr)
         checks.append(_heisenberg_report(engine, probe, t0, h_norm))
         if isinstance(initial, StateVector):
@@ -378,6 +380,6 @@ def _scenario_checks(config: ScenarioConfig, engine: EvolutionEngine,
             passed=True,
             residuals={"tau_h_over_hbar": regime},
             details={"note": "difference-quotient checks skipped: "
-                             "tau*||H||/hbar > 0.5"},
+                             f"tau*||H||/hbar > {REGIME_BOUND}"},
         ))
     return checks

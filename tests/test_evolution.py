@@ -491,3 +491,27 @@ def test_heisenberg_reads_draw_their_frames_from_the_engine(monkeypatch):
     assert drift == 0.0
     assert persistence.residuals["commutator_drift"] == 0.0
     assert len(calls) == 3
+
+
+def test_heisenberg_trace_residual_reads_the_frames_the_run_steps_with(monkeypatch):
+    """The trace's Heisenberg residual takes O(t_m) and O(t_{m+1}) from the frames
+    ``EvolutionEngine.heisenberg_frames`` yields and propagates nothing itself:
+    with every frame the identity, O does not move, so the difference quotient
+    is 0 and the residual is the whole generator ||[SZ, 0.5 SX]/i|| = 1."""
+    from obsalg.scenarios import config_from_doc, run_scenario
+
+    def frozen_frames(engine):
+        for t in engine.grid.times():
+            yield float(t), np.eye(engine.dim, dtype=complex)
+
+    monkeypatch.setattr(EvolutionEngine, "heisenberg_frames", frozen_frames)
+    pauli = {"SX": {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]},
+             "SZ": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}}
+    result = run_scenario(config_from_doc({
+        "operators": pauli, "hamiltonian": "0.5*SX", "picture": "heisenberg",
+        "grid": {"tau": 0.1, "steps": 10}, "observables_to_trace": {"sz": "SZ"}}))
+    generator = opnorm(commutator(Observable(SZ), Observable(0.5 * SX)).entries / 1j)
+    assert generator == pytest.approx(1.0, abs=1e-15)
+    *stepped, last = result.column("equation_residual")
+    assert stepped == pytest.approx([generator] * 10, abs=1e-15)
+    assert last == 0.0

@@ -121,6 +121,22 @@ def test_non_hermitian_read_exits_2_naming_the_field_and_t(tmp_path, scenario, e
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_driven_heisenberg_hamiltonian_is_read_before_its_step(tmp_path):
+    # the frame generator builds U(t_m) only after row m has read H(t_m), so a
+    # driven H that stops being Hermitian at t = tau exits 2 there, as in the
+    # Schroedinger picture, instead of failing inside the unitary
+    doc = bundled_doc("rabi")
+    doc.update(picture="heisenberg", hamiltonian="(omega/2)*SX + t*i*SZ")
+    doc["grid"]["steps"] = 5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert err.startswith("validation error: config.hamiltonian:")
+    assert f"t = {_rabi_first_step()!r}" in err and "Traceback" not in err
+
+
 def test_driven_hamiltonian_is_not_read_at_the_end_time():
     # no step starts at T, so a driven H that is Hermitian at every other grid
     # time (its i*SZ term vanishes there) is not read at T, and the run completes
@@ -195,3 +211,51 @@ def test_explicitly_time_dependent_heisenberg_trace_and_residual():
     assert 0 < report.residuals["halving_ratio"] <= 0.6
     assert heis.column("equation_residual")[0] == report.residuals["residual_tau"]
     assert math.isfinite(report.residuals["residual_tau"])
+
+
+def _evaluations(monkeypatch, doc: dict, name: str) -> dict[str, list[float]]:
+    """The times at which each picture's run evaluates the traced ``name`` through H's memo."""
+    from obsalg import evolution
+
+    seen = []
+    real = evolution.evaluate
+
+    def counting(node, ctx):
+        seen.append((node, ctx.t))
+        return real(node, ctx)
+
+    monkeypatch.setattr(evolution, "evaluate", counting)
+    times = {}
+    for picture in ("heisenberg", "schrodinger"):
+        seen.clear()
+        config = config_from_doc({**doc, "picture": picture})
+        assert run_scenario(config).all_pass
+        node = config.observables_to_trace[name]
+        times[picture] = [t for n, t in seen if n == node]
+    return times
+
+
+def test_explicitly_time_dependent_observable_is_read_at_grid_times(monkeypatch):
+    # the Heisenberg residual reads O at both ends of its step from the rows
+    # the run reads anyway, so no off-grid t + tau evicts the next row's value
+    doc = bundled_doc("rabi")
+    doc["grid"] = {"tau": 0.01, "steps": 50}
+    doc["observables_to_trace"] = {"o": "cos(t)*SZ + t*SX"}
+    times = _evaluations(monkeypatch, doc, "o")
+    assert len(times["heisenberg"]) == len(times["schrodinger"])
+    assert sorted(times["heisenberg"]) == sorted(times["schrodinger"])
+
+
+def test_traced_driven_hamiltonian_is_evaluated_once_per_grid_time(monkeypatch):
+    doc = bundled_doc("rabi")
+    doc["hamiltonian"] = "(omega/2)*cos(nu*t)*SX + (delta/2)*SZ"
+    doc["constants"] = {"omega": 1.0, "delta": 0.5, "nu": 1.3}
+    doc["grid"] = {"tau": 0.01, "steps": 100}
+    doc["observables_to_trace"] = {"sz": "SZ", "energy": doc["hamiltonian"]}
+    times = _evaluations(monkeypatch, doc, "energy")
+    grid = config_from_doc(doc).grid
+    t0, *later = grid.times().tolist()
+    for picture, seen in times.items():
+        # each grid time once in the trajectory; the run-level checks read
+        # H(t0) once more, after the trajectory has moved the memo on
+        assert sorted(seen) == [t0, t0, *later], picture
