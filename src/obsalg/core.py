@@ -77,20 +77,28 @@ def _coerce_entries(entries) -> np.ndarray:
     return _frozen(arr)
 
 
-def opnorm(m) -> float:
+def opnorm(m):
     """Spectral norm; accepts raw arrays and algebra elements.
 
     The largest singular value, read from one LAPACK call: the value of
-    ``np.linalg.norm(m, 2)`` without its dispatch.  A non-finite entry
-    raises :class:`AlgebraError`; a finite matrix may overflow to inf.
+    ``np.linalg.norm(m, 2)`` without its dispatch, one per matrix of a stack.  A
+    non-finite entry raises :class:`AlgebraError`; a finite matrix may overflow to inf.
     """
     try:
-        norm = float(np.linalg.svd(np.asarray(getattr(m, "entries", m)), compute_uv=False)[0])
+        norms = np.linalg.svd(np.asarray(getattr(m, "entries", m)), compute_uv=False)[..., 0]
     except np.linalg.LinAlgError:  # from a NaN; an inf entry gives a NaN norm
-        norm = math.nan
-    if math.isnan(norm):
+        norms = np.float64(math.nan)
+    if np.isnan(norms).any():
         raise AlgebraError("no spectral norm: the SVD failed on a non-finite entry")
-    return norm
+    return float(norms) if norms.ndim == 0 else norms
+
+
+def vecnorm(x):
+    """``np.linalg.norm`` of a vector, or of each row of a stack, bit for bit."""
+    re, im = x.real, x.imag
+    if x.ndim == 1:
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _check_same_dim(a, b) -> None:

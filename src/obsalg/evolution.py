@@ -19,9 +19,9 @@ Magnus term (1/2) int int [H(t1), H(t2)]: O(T^2), not shrinking with tau.
 Difference-quotient residuals against the continuous equations of motion
 (Heisenberg, Schroedinger, von Neumann) are first order in tau.  Each
 equation has one ``*_step_residual`` function, the residual of one step of a
-given size: the trace reports it at tau on the run's own step, each
-``*_residual`` check at tau and tau/2 one step from the identity frame.  The
-Heisenberg and von Neumann residuals read the two values their step connects.
+given size or of a stack of them: the trace reports it at tau on its steps,
+each ``*_residual`` check at tau and tau/2 one step from the identity frame.
+Each residual reads the two values its step connects.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .core import (
     as_observable,
     commutator,
     opnorm,
+    vecnorm,
 )
 from .expr import (
     EvalContext,
@@ -228,47 +229,52 @@ def reverse_step(engine: EvolutionEngine, o: Observable, t: float) -> Observable
 # equation-of-motion residuals
 # ---------------------------------------------------------------------------
 
-def heisenberg_step_residual(engine: EvolutionEngine, node: ObservableExpr, t: float,
-                             step: float, v: np.ndarray, h_t: Observable,
-                             o_now: PseudoObservable, o_next: PseudoObservable) -> float:
+def heisenberg_step_residual(engine: EvolutionEngine, node: ObservableExpr, t, step: float,
+                             v, h_t, o_now, o_next):
     """|| (O(t+step)-O(t))/step - [O,H(t)]/(i hbar) - dO/dt || for one step.
 
     ``o_now`` and ``o_next`` are O read in the frames at t and t+step, ``h_t`` is the
-    bare H(t), and dO/dt is read in the frame ``v`` at t; when O does not reference t
-    it is exactly 0 and that term is left out.
+    bare H(t), and dO/dt is read in the frame ``v`` at t (0 when O does not reference
+    t).  Each is one array or a stack, with t a list: one residual per step.
     """
-    h, o = h_t.entries, o_now.entries
-    gen = (o @ h - h @ o) / (1j * engine.hbar)
-    quotient = (o_next.entries - o) / step - gen
+    gen = (o_now @ h_t - h_t @ o_now) / (1j * engine.hbar)
+    quotient = (o_next - o_now) / step - gen
     if not references_time(node):
         return opnorm(quotient)
-    dodt = explicit_time_derivative(node, engine.hamiltonian.ctx.with_t(t), h=step / 64)
-    return opnorm(quotient - v @ dodt.entries @ v.conj().T)
+    ctx = engine.hamiltonian.ctx
+    dodt = np.reshape([explicit_time_derivative(node, ctx.with_t(s), h=step / 64).entries
+                       for s in np.atleast_1d(t).tolist()], quotient.shape)
+    return opnorm(quotient - v @ dodt @ v.conj().swapaxes(-1, -2))
 
 
-def schrodinger_step_residual(engine: EvolutionEngine, psi: StateVector, t: float,
-                              step: float) -> float:
-    """|| (Psi(t+step)-Psi(t))/step + (i/hbar) H Psi || for one step."""
-    h_t = engine.hamiltonian.evaluate(t).entries
-    u = engine.unitary(t, step).entries
-    ahead = u.conj().T @ psi.amplitudes
+def schrodinger_step_residual(engine: EvolutionEngine, psi, t, step: float,
+                              ahead: np.ndarray | None = None, h_t: np.ndarray | None = None):
+    """|| (Psi(t+step)-Psi(t))/step + (i/hbar) H Psi || for one step.
+
+    ``ahead`` = U^dagger Psi, unnormalized, and ``h_t`` = H(t) are computed when not
+    given.  Stacked amplitude rows give one residual each.
+    """
+    amps = getattr(psi, "amplitudes", psi)
+    h = engine.hamiltonian.evaluate(t).entries if h_t is None else h_t
+    if ahead is None:
+        ahead = engine.unitary(t, step).entries.conj().T @ amps
     # U's roundoff over a tiny step can overflow the sum of squares: inf fails the check
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm((ahead - psi.amplitudes) / step
-                                    + (1j / engine.hbar) * (h_t @ psi.amplitudes)))
+        return vecnorm((ahead - amps) / step
+                       + (1j / engine.hbar) * np.matmul(h, amps[..., None])[..., 0])
 
 
-def von_neumann_step_residual(engine: EvolutionEngine, d: DensityObservable,
-                              d_next: DensityObservable, t: float, step: float) -> float:
+def von_neumann_step_residual(engine: EvolutionEngine, rho: np.ndarray, rho_next: np.ndarray,
+                              t, step: float, h_t: np.ndarray | None = None):
     """|| (D(t+step)-D(t))/step - [H,D]/(i hbar) || for one step.
 
-    ``d_next`` = U^dagger D U is the density :func:`von_neumann_step` produced, so the
+    ``rho_next`` = U^dagger D U is the density :func:`von_neumann_step` produced, so the
     discrete generator is (1/(i hbar))[H,D], the right-hand side of i hbar dD/dt = [H,D].
+    ``h_t`` = H(t) is read when not given.  Stacked densities give one residual each.
     """
-    h_t = engine.hamiltonian.evaluate(t).entries
-    rho = d.matrix.entries
-    gen = (h_t @ rho - rho @ h_t) / (1j * engine.hbar)
-    return opnorm((d_next.matrix.entries - rho) / step - gen)
+    h = engine.hamiltonian.evaluate(t).entries if h_t is None else h_t
+    gen = (h @ rho - rho @ h) / (1j * engine.hbar)
+    return opnorm((rho_next - rho) / step - gen)
 
 
 def _h_norm(engine: EvolutionEngine, t: float) -> float:
@@ -310,11 +316,11 @@ def _halving_report(name: str, engine: EvolutionEngine, h_norm: float, residual_
 def _heisenberg_report(engine: EvolutionEngine, node: ObservableExpr, t: float,
                        h_norm: float) -> CheckReport:
     ham = engine.hamiltonian
-    h_t, o_t, v = ham.evaluate(t), ham.value(node, t), np.eye(engine.dim, dtype=complex)
+    h_t, o_t, v = ham.evaluate(t).entries, ham.value(node, t), np.eye(engine.dim, dtype=complex)
     return _halving_report(  # one step from the identity frame: V_1 = U(t, s) in any order
         "heisenberg_residual", engine, h_norm,
-        lambda s: heisenberg_step_residual(engine, node, t, s, v, h_t, o_t, _conjugate(
-            engine.unitary(t, s).entries, ham.value(node, t + s))),
+        lambda s: heisenberg_step_residual(engine, node, t, s, v, h_t, o_t.entries, _conjugate(
+            engine.unitary(t, s).entries, ham.value(node, t + s)).entries),
         max(1.0, o_t.norm()))
 
 
@@ -329,7 +335,8 @@ def _von_neumann_report(engine: EvolutionEngine, d: DensityObservable, t: float,
                         h_norm: float) -> CheckReport:
     return _halving_report(
         "von_neumann_residual", engine, h_norm,
-        lambda s: von_neumann_step_residual(engine, d, von_neumann_step(engine, d, t, s), t, s))
+        lambda s: von_neumann_step_residual(
+            engine, d.matrix.entries, von_neumann_step(engine, d, t, s).matrix.entries, t, s))
 
 
 def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .canonical import make_canonical_pair, make_position
-from .core import AlgebraError, Observable, PseudoObservable, as_observable
+from .core import AlgebraError, Observable, PseudoObservable, as_observable, vecnorm
 # perfbench's test_traced_call_restores_every_wrapped_name reads scenarios.opnorm
 from .core import opnorm  # noqa: F401
 from .evolution import (
@@ -34,23 +34,16 @@ from .evolution import (
     _von_neumann_report,
     heisenberg_step,
     heisenberg_step_residual,
-    schrodinger_step,
     schrodinger_step_residual,
     von_neumann_step,
     von_neumann_step_residual,
 )
-from .expr import EvalContext, ObservableExpr
+from .expr import EvalContext, ObservableExpr, references_time
 from .rand import random_hermitian
 from .report import CheckReport
 from .serialize import (SchemaError, _check_type, _expression, _integer, _number, _require,
                         load_json, matrix_from_doc, vector_from_doc)
-from .states import (
-    DensityObservable,
-    StateVector,
-    expectation,
-    pure_density,
-    vector_expectation,
-)
+from .states import DensityObservable, StateVector, expectation, pure_density, unit_amplitudes
 
 
 _NAME = re.compile(r"[A-Za-z0-9_.-]{1,100}")
@@ -258,6 +251,9 @@ class ScenarioResult:
         return [row[idx] for row in self.rows]
 
 
+CHUNK_BYTES = 64 * 2 ** 10  # per stacked d x d complex array of a trajectory chunk
+
+
 def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> ScenarioResult:
     """Evolve the scenario over its grid; emit trace rows and audit checks.
 
@@ -266,8 +262,13 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     (norm for vector states, trace for densities).  The residual is the
     ``*_step_residual`` of :mod:`obsalg.evolution` on the run's own step; in the
     Heisenberg picture, the maximum over the traced O read as V_m O V_m^dagger in
-    the engine's frames, set once row m+1 is read.  Each traced value at every row,
-    and H at every t the run steps from (before its unitary), must be Hermitian.
+    the engine's frames.  Each traced value at every row, and H at every t the run
+    steps from (before its unitary), must be Hermitian.
+
+    Row by row the run only takes V_m from the engine's frames or steps the state,
+    and reads H and the traced values that reference t (the others once, at t0).  The
+    rest is computed on the stacks of chunks of ``CHUNK_BYTES // (16 d^2)`` steps by
+    the kernels of one row at a time: the outputs are byte-identical for any chunk length.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
@@ -279,40 +280,68 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     if not ham.time_dependent and ham.expr not in traced.values():
         fields.append(("config.hamiltonian", ham.expr))
     energy_at = None if ham.time_dependent else [node for _, node in fields].index(ham.expr)
+    timed = [references_time(node) for _, node in fields]
 
     header = ["step", "t", *traced.keys(), "equation_residual", "state_drift"]
     rows: list[list[float]] = []
-    tau = engine.grid.tau
     energy_series: list[float] = []
-    state = initial
-    expect = vector_expectation if isinstance(state, StateVector) else expectation
+    pure = isinstance(initial, StateVector)
+
+    def emit(chunk: list, final: bool) -> None:
+        """The rows of a chunk's reads but the last, which starts the next chunk."""
+        ts, vs, hs, reads, states, aheads = zip(*chunk)
+        k, tau, states, by_field = len(chunk) - 1, engine.grid.tau, np.array(states), zip(*reads)
+        values = [np.array(next(by_field)) if on else x for on, x in zip(timed, fixed)]
+        h = np.array(hs[:k]) if ham.time_dependent else hs[0]
+        if vs[0] is not None:
+            vs = np.array(vs)
+            values = [vs @ o @ vs.conj().transpose(0, 2, 1) for o in values]
+            residual = np.max([np.zeros(k)] + [  # residuals are >= 0: a 0 for no traced O
+                heisenberg_step_residual(engine, node, ts[:k], tau, vs[:k], h, o[:k], o[1:])
+                for (_, node), o in zip(fields, values[:len(traced)])], axis=0)
+        elif pure:
+            residual = schrodinger_step_residual(engine, states[:k], ts[:k], tau,
+                                                 np.array(aheads[:k]), h)
+        else:
+            residual = von_neumann_step_residual(engine, states[:k], states[1:], ts[:k], tau, h)
+        if pure:
+            means = [np.matmul(states.conj()[:, None], np.matmul(o, states[..., None]))[:, 0, 0]
+                     for o in values]
+            drift = np.abs(vecnorm(states[1:]) - 1.0)
+        else:
+            flat = states.reshape(k + 1, -1)
+            means = [np.vecdot(flat, o.reshape(*o.shape[:-2], -1)) for o in values]
+            drift = np.abs(np.trace(states[1:], axis1=1, axis2=2).real - 1.0)
+        if final:  # the last row takes no step
+            residual, drift = np.append(residual, 0.0), np.append(drift, drift[-1])
+        columns = [m.real[:k + final].tolist() for m in means]
+        energy_series.extend(() if energy_at is None else columns[energy_at])
+        rows.extend(map(list, zip(range(len(rows), len(rows) + k + final), ts,
+                                  *columns[:len(traced)], residual.tolist(), drift.tolist())))
+
+    state = initial.amplitudes if pure else initial
     frames = (engine.heisenberg_frames() if config.picture == "heisenberg"
               else zip(engine.grid.times().tolist(), repeat(None)))
-    last = engine.grid.steps
-
+    last, size = engine.grid.steps, max(1, CHUNK_BYTES // (16 * engine.dim ** 2))
+    chunk: list = []  # per row: t, V_m, H(t), timed values, state, unnormalized U^dagger psi
     for step, (t, v) in enumerate(frames):
-        h_t = _observable(ham, ham.expr, t, "config.hamiltonian") if step < last else None
-        read = [_observable(ham, node, t, path) for path, node in fields]
-        if v is not None:
-            read = [PseudoObservable(v @ o.entries @ v.conj().T) for o in read]
-            if step:  # the previous row's step ends here: O read at both of its ends
-                ends = zip(traced.values(), before_read, read)
-                rows[-1][-2] = max((heisenberg_step_residual(engine, node, *before, o_m, o)
-                                    for node, o_m, o in ends), default=0.0)
-            before, before_read = (t, tau, v, h_t), read
-        expectations = [expect(state, o).real for o in read]
-        if energy_at is not None:
-            energy_series.append(expectations[energy_at])
-
-        if step == last or v is not None:
-            residual = 0.0  # a Heisenberg row's is set once the next row is read
-        elif isinstance(state, StateVector):
-            residual = schrodinger_step_residual(engine, state, t, tau)
-            state = schrodinger_step(engine, state, t)
-        else:
-            ahead = von_neumann_step(engine, state, t)
-            residual, state = von_neumann_step_residual(engine, state, ahead, t, tau), ahead
-        rows.append([step, t, *expectations[:len(traced)], residual, _state_drift(state)])
+        h_t = _observable(ham, ham.expr, t, "config.hamiltonian").entries if step < last else None
+        read = [_observable(ham, node, t, path).entries
+                for (path, node), on in zip(fields, timed) if on or not step]
+        if not step:  # a node that does not reference t keeps its value
+            fixed, read = read, [value for value, on in zip(read, timed) if on]
+        ahead, stepped = None, state
+        if v is None and step < last:
+            if pure:
+                ahead = engine.unitary(t).entries.conj().T @ state
+                stepped = unit_amplitudes(ahead)
+            else:
+                stepped = von_neumann_step(engine, state, t)
+        chunk.append((t, v, h_t, read, state if pure else state.matrix.entries, ahead))
+        state = stepped
+        if len(chunk) > size or step == last:
+            emit(chunk, step == last)
+            chunk = chunk[-1:]
 
     checks = _scenario_checks(config, engine, initial, energy_series)
     return ScenarioResult(config, header, rows, checks)
@@ -324,12 +353,6 @@ def _observable(ham: Hamiltonian, node: ObservableExpr, t: float, path: str) -> 
     if not isinstance(value, Observable):
         raise SchemaError(path, f"not a finite Hermitian matrix at t = {t!r}")
     return value
-
-
-def _state_drift(state: StateVector | DensityObservable) -> float:
-    if isinstance(state, StateVector):
-        return abs(float(np.linalg.norm(state.amplitudes)) - 1.0)
-    return abs(complex(np.trace(state.matrix.entries)).real - 1.0)
 
 
 def _scenario_checks(config: ScenarioConfig, engine: EvolutionEngine,

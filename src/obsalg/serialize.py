@@ -157,9 +157,16 @@ def fmt_number(x) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Each cell as :func:`fmt_number` writes it; a row is formatted by one ``%``
+    string of its cell types, built again only when they change."""
     lines = [",".join(header)]
+    kinds = form = None
     for row in rows:
         if len(row) != len(header):
             raise AlgebraError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(fmt_number(x) for x in row))
+        if (row_kinds := tuple(map(type, row))) != kinds:
+            kinds, form = row_kinds, ",".join(
+                "%s" if issubclass(kind, str) else
+                "%d" if issubclass(kind, (int, np.integer)) else "%.16e" for kind in row_kinds)
+        lines.append(form % tuple(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

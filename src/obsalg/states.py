@@ -17,12 +17,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlgebraError, Observable, PseudoObservable, _conjugate, inner_product
+from .core import AlgebraError, Observable, PseudoObservable, _conjugate, inner_product, vecnorm
 from .transforms import Transformation
 
 NORM_TOL = 1e-8        # rejection threshold for unnormalized amplitudes
 TRACE_TOL = 1e-10      # density trace deviation from one
 POSITIVITY_TOL = 1e-10 # most negative admissible density eigenvalue
+
+
+def unit_amplitudes(arr: np.ndarray) -> np.ndarray:
+    """``arr`` rescaled to unit norm; a norm off 1 by more than ``NORM_TOL`` raises."""
+    norm = vecnorm(arr)
+    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN amplitude fails it
+        raise AlgebraError(f"state vector is not normalized: ||psi|| = {norm!r}")
+    return arr / norm
 
 
 class StateVector:
@@ -39,10 +47,7 @@ class StateVector:
         arr = np.array(amplitudes, dtype=complex).reshape(-1)
         if arr.size < 2:
             raise AlgebraError("state vectors need dimension at least 2")
-        norm = float(np.linalg.norm(arr))
-        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN amplitude fails it
-            raise AlgebraError(f"state vector is not normalized: ||psi|| = {norm!r}")
-        arr = arr / norm
+        arr = unit_amplitudes(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 

@@ -1,6 +1,10 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from obsalg.core import AlgebraError
 from obsalg.rand import random_matrix, random_state
 from obsalg.serialize import (
     SchemaError,
@@ -62,6 +66,23 @@ def test_write_csv_deterministic(tmp_path):
     write_csv(b, ["step", "t", "x"], rows)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "step,t,x"
+
+
+def test_write_csv_cells_read_as_fmt_number(tmp_path):
+    # the row format is built from the cell types and kept while they repeat:
+    # rows 2 and 3 reuse row 1's, rows 4 and 5 change it (a string cell, as in
+    # the convergence sweep, and NumPy scalars)
+    rows = [["rabi", 0, math.inf, -0.0],
+            ["rabi", 1, -math.inf, 5e-324],
+            ["oscillator", 2, math.nan, sys.float_info.max],
+            ["oscillator", np.int64(3), np.float64(-2.5), True],
+            [np.float64(0.1), "x", 7, np.int64(-7)]]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["scenario", "halving", "a", "b"], rows)
+    expected = ["scenario,halving,a,b", *(",".join(map(fmt_number, row)) for row in rows)]
+    assert path.read_text(encoding="utf-8").splitlines() == expected
+    with pytest.raises(AlgebraError, match="row width 3 != header width 4"):
+        write_csv(path, ["scenario", "halving", "a", "b"], [["rabi", 0, 1.0]])
 
 
 def test_transformation_round_trip(rng):
