@@ -1,8 +1,8 @@
 """Command-line entry points: run scenarios, audit invariants, emit sweeps.
 
-Exit codes: 0 all checks pass; 1 a check failed; 2 config/validation error;
-3 runtime failure while stepping.  The ``OBSALG_OUTDIR`` environment variable
-sets the default output directory.
+Exit codes, all set by ``main``: 0 all checks pass; 1 a check failed; 2 a validation
+error, naming its field, flag or path; 3 a runtime failure, such as an expression that
+fails to evaluate at some t.  ``OBSALG_OUTDIR`` sets the default output directory.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ def _default_outdir() -> Path:
 
 
 def _resolve_config(ref: str) -> tuple[dict, Path]:
-    """A path to a JSON config, or the bare name of a bundled scenario."""
+    """The config ``ref`` names, a bundled scenario or a JSON path, and the directory its
+    file references are relative to: the working directory for a bundled one."""
     if ref in BUNDLED:
-        text = resources.files("obsalg.data").joinpath(f"{ref}.json").read_text()
-        import json
-        return json.loads(text), Path(".")
-    path = Path(ref)
-    return load_json(path), path.parent
+        return load_json(resources.files("obsalg.data") / f"{ref}.json"), Path(".")
+    return load_json(ref), Path(ref).parent
 
 
 def _integers(minimum: int, single: bool = False):
@@ -173,6 +171,10 @@ def main(argv: list[str] | None = None) -> int:
     except AlgebraError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"validation error: {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

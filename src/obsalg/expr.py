@@ -205,10 +205,27 @@ def _tokenize(source: str) -> list[_Token]:
 
 # --- parser ----------------------------------------------------------------------
 
+# How deep an expression may nest: parentheses, calls and signs as written, and the
+# levels of its tree, where a sum or product of n terms takes n.  The parser, the
+# memo's first hash and the evaluator recurse per level, so a deeper expression is a
+# syntax error rather than a RecursionError.
+MAX_DEPTH = 128
+
+
+def _height(node: Node) -> int:
+    """Levels of the tree under ``node``, counted without recursion."""
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [child for n in level for child in vars(n).values() if isinstance(child, Node)]
+    return height
+
+
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -227,11 +244,27 @@ class _Parser:
                 tok.line, tok.col)
         self.advance()
 
+    def too_deep(self) -> ExprSyntaxError:
+        tok = self.current
+        return ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels",
+                               tok.line, tok.col)
+
+    def nested(self, rule) -> Node:
+        """``rule()`` one level deeper: inside parentheses, a call or a sign."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.too_deep()
+        node = rule()
+        self.depth -= 1
+        return node
+
     def parse(self) -> Node:
         node = self.expr()
         tok = self.current
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        if _height(node) > MAX_DEPTH:
+            raise self.too_deep()
         return node
 
     def expr(self) -> Node:
@@ -254,10 +287,10 @@ class _Parser:
         tok = self.current
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return make_neg(self.factor())
+            return make_neg(self.nested(self.factor))
         if tok.kind == "op" and tok.text == "+":
             self.advance()
-            return self.factor()
+            return self.nested(self.factor)
         return self.power()
 
     def power(self) -> Node:
@@ -274,15 +307,14 @@ class _Parser:
 
     def atom(self) -> Node:
         tok = self.current
-        if tok.kind == "number":
+        if tok.kind == "number":  # float() rounds an integer literal as int() would, or to inf
             self.advance()
-            text = tok.text
-            return Num(complex(int(text) if text.isdigit() else float(text)))
+            return Num(complex(float(tok.text)))
         if tok.kind == "ident":
             self.advance()
             if self.current.kind == "op" and self.current.text == "(":
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 if self.current.kind == "op" and self.current.text == ",":
                     extra = self.current
                     raise ExprSyntaxError(
@@ -295,7 +327,7 @@ class _Parser:
             return Sym(tok.text)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(
@@ -452,7 +484,10 @@ def evaluate(node: ObservableExpr, ctx: EvalContext) -> PseudoObservable:
     Returns an :class:`~obsalg.core.Observable` when the value happens to be
     Hermitian (checked after evaluation, never assumed).
     """
-    value = _eval(node, ctx)
+    try:
+        value = _eval(node, ctx)
+    except OverflowError as exc:  # a scalar beyond float range: cmath and complex ** raise
+        raise ExprEvalError(f"scalar overflow: {exc}") from exc
     if not isinstance(value, np.ndarray):
         value = value * np.eye(ctx.dim, dtype=complex)
     return _wrap_like(value, None)

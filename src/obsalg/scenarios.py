@@ -38,7 +38,7 @@ from .evolution import (
     von_neumann_step,
     von_neumann_step_residual,
 )
-from .expr import EvalContext, ObservableExpr, references_time
+from .expr import EvalContext, ExprEvalError, ObservableExpr, references_time
 from .rand import random_hermitian
 from .report import CheckReport
 from .serialize import (SchemaError, _check_type, _expression, _integer, _number, _require,
@@ -86,7 +86,7 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         tau=_number(_require(grid_doc, "tau", "config.grid"), "config.grid.tau", positive=True),
         steps=_integer(_require(grid_doc, "steps", "config.grid"), "config.grid.steps", 1),
         t0=_number(grid_doc.get("t0", 0.0), "config.grid.t0"))
-    if not math.isfinite(grid.t0 + grid.tau * grid.steps):
+    if not math.isfinite(grid.t0 + grid.tau * _number(grid.steps, "config.grid.steps")):
         raise SchemaError("config.grid.tau", "the end time t0 + tau*steps is not finite")
 
     picture = doc.get("picture", "schrodinger")
@@ -103,19 +103,17 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         epsilon = _number(epsilon, "config.epsilon", positive=True)
         # the canonical pair's spectra reach n*epsilon (Q) and pi*hbar/epsilon
         # (P), and its shift is exp(i (epsilon/hbar) P)
-        if not all(sys.float_info.min <= scale < math.inf for scale in
-                   (n * epsilon, math.pi * hbar / epsilon, epsilon / hbar)):
+        if not all(sys.float_info.min <= scale < math.inf for scale in (
+                _number(n, "config.n") * epsilon, math.pi * hbar / epsilon, epsilon / hbar)):
             raise SchemaError("config.epsilon", "n*epsilon, pi*hbar/epsilon and "
                                                 "epsilon/hbar must be normal floats")
 
     operators: dict[str, PseudoObservable] = {}
     for opname, opdoc in _check_type(doc.get("operators", {}), dict,
                                      "config.operators", "an object").items():
-        path = f"config.operators.{opname}"
-        if isinstance(opdoc, str):
-            operators[opname] = matrix_from_doc(load_json(base / opdoc), path)
-        else:
-            operators[opname] = matrix_from_doc(opdoc, path)
+        path = f"config.operators.{opname}"  # a document, or a path to one
+        operators[opname] = matrix_from_doc(
+            load_json(base / opdoc, path) if isinstance(opdoc, str) else opdoc, path)
 
     constants = {}
     for cname, cval in _check_type(doc.get("constants", {}), dict,
@@ -160,7 +158,7 @@ def build_engine(config: ScenarioConfig) -> EvolutionEngine:
     # failure.  Values are read unvalidated through H's memo: an Observable
     # would reject non-finite entries before this check could name the field.
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = hamiltonian.value(hamiltonian.expr, config.grid.t0).entries
+        h0 = _value(hamiltonian, hamiltonian.expr, config.grid.t0, "config.hamiltonian").entries
         if not np.isfinite(h0).all():
             raise SchemaError("config.hamiltonian", "H(t0) has non-finite entries")
         if not np.isfinite((config.grid.tau / config.hbar) * h0).all():
@@ -168,7 +166,8 @@ def build_engine(config: ScenarioConfig) -> EvolutionEngine:
                                                  "has non-finite entries")
         for name, node in (config.observables_to_trace.items()
                            if config.picture == "heisenberg" else ()):
-            o = hamiltonian.value(node, config.grid.t0).entries
+            o = _value(hamiltonian, node, config.grid.t0,
+                       f"config.observables_to_trace.{name}").entries
             if not np.isfinite(o @ h0 - h0 @ o).all():
                 raise SchemaError("config.hamiltonian", f"[O(t0), H(t0)] for the traced "
                                                         f"{name!r} has non-finite entries")
@@ -211,7 +210,7 @@ def _initial_state(config: ScenarioConfig, dim: int,
         if isinstance(spec, dict) and key in spec:
             path = f"config.initial_state.{key}"
             ref = _check_type(spec[key], str, path, "a file path")
-            doc = load_json(Path(base_dir) / ref)
+            doc = load_json(Path(base_dir) / ref, path)
             try:
                 state = load(doc, path)
             except SchemaError:
@@ -347,9 +346,18 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     return ScenarioResult(config, header, rows, checks)
 
 
+def _value(ham: Hamiltonian, node: ObservableExpr, t: float, path: str) -> PseudoObservable:
+    """``node`` at t from H's memo; an expression that fails to evaluate stays a
+    runtime failure, which names the field and t."""
+    try:
+        return ham.value(node, t)
+    except AlgebraError as exc:  # an ExprEvalError, or a spectral function's failure
+        raise ExprEvalError(f"{path}: {exc} at t = {t!r}") from exc
+
+
 def _observable(ham: Hamiltonian, node: ObservableExpr, t: float, path: str) -> Observable:
     """``node`` at t from H's memo, which holds an Observable exactly when it is Hermitian."""
-    value = ham.value(node, t)
+    value = _value(ham, node, t, path)
     if not isinstance(value, Observable):
         raise SchemaError(path, f"not a finite Hermitian matrix at t = {t!r}")
     return value

@@ -67,7 +67,7 @@ def _number(value, path: str, positive: bool = False) -> float:
     try:
         number = float(value)
     except OverflowError:
-        raise SchemaError(path, f"number out of range: {value}") from None
+        raise SchemaError(path, "number out of range: too large for a float") from None
     if not math.isfinite(number):
         raise SchemaError(path, f"expected a finite number, got {number}")
     # subnormal values are too coarse to step with (tau/2 may round to 0)
@@ -128,14 +128,18 @@ def transformation_from_doc(doc: dict, path: str = "transformation"):
     return from_unitary(matrix_from_doc(doc, path))
 
 
-def load_json(path: str | Path) -> Any:
+def load_json(source, field: str | None = None) -> Any:
+    """The JSON document at ``source``, a path or a package resource.
+
+    Any failure to read or decode it is one :class:`SchemaError` naming ``field``, the
+    config field that references the document, or else the file itself."""
+    source = Path(source) if isinstance(source, str) else source
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(str(path), "file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
+        return json.loads(source.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # decode errors are ValueErrors
+        reason = (exc.strerror or exc) if isinstance(exc, OSError) else f"invalid JSON: {exc}"
+        raise SchemaError(field or str(source),
+                          f"{source}: {reason}" if field else str(reason)) from exc
 
 
 def dump_json(path: str | Path, doc: Any) -> None:

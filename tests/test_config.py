@@ -47,6 +47,14 @@ def edited(doc: dict, field: str, value) -> dict:
     ("n", True),
     ("grid.steps", 2.7),
     ("grid.tau", "inf"),
+    # integers too large for a float: in t0 + tau*steps, in n*epsilon, as hbar
+    pytest.param("grid.steps", 10 ** 400, id="grid.steps-10^400"),
+    pytest.param("n", 10 ** 400, id="n-10^400"),
+    pytest.param("hbar", 10 ** 400, id="hbar-10^400"),
+    ("epsilon", 1e308),              # n*epsilon overflows: not a normal float
+    ("initial_state", True),
+    pytest.param("initial_state", [0, 0], id="initial_state-zero-vector"),
+    pytest.param("initial_state", [1, 0, 0], id="initial_state-length-3-against-16"),
 ])
 def test_mistyped_field_is_a_validation_error(tmp_path, capsys, field, value):
     path = tmp_path / "config.json"
@@ -70,7 +78,9 @@ def test_overflowing_end_time_is_a_validation_error(tmp_path, capsys, fields):
     assert "config.grid.tau" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fields", [{"epsilon": 1e-300}, {"epsilon": 1.0, "hbar": 1e300}])
+@pytest.mark.parametrize("fields", [{"epsilon": 1e-300}, {"epsilon": 1.0, "hbar": 1e300},
+                                    pytest.param({"hamiltonian": "1" + "0" * 400 + "*P^2"},
+                                                 id="literal-10^400-reads-as-inf")])
 def test_overflowing_hamiltonian_is_a_validation_error(tmp_path, capsys, fields):
     # P ~ hbar/epsilon, so H = P^2/(2*m) overflows at t0
     doc = free_particle_doc()
@@ -209,9 +219,14 @@ NAN, INF = float("nan"), float("inf")
      "config.operators.B.entries[0]"),                            # not used by H
     (None, None, {"C": _matrix((0, 0), (0, 0), (1, 0), (0, 0))}, "C",
      "config.hamiltonian"),                                       # C = |1><0|
+    ("vector_file", {"dim": 4, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}, {}, None,
+     "config.initial_state.vector_file"),                         # d = 4 against 2
+    (None, None, {"B": {"dim": 4, "entries": [[0, 0]] * 16}}, None,
+     "config.operators"),                                         # d = 4 against 2
 ], ids=["density-not-hermitian", "density-not-positive", "density-nan",
         "vector-not-normalized", "vector-nan", "vector-bool", "matrix-bool",
-        "unused-operator-inf", "hamiltonian-not-hermitian"])
+        "unused-operator-inf", "hamiltonian-not-hermitian", "vector-wrong-dim",
+        "operators-inconsistent-dims"])
 def test_malformed_document_or_state_names_its_field(tmp_path, initial_state, state_doc,
                                                      operators, hamiltonian, where):
     doc = json.loads(resources.files("obsalg.data").joinpath("rabi.json").read_text())
@@ -227,3 +242,127 @@ def test_malformed_document_or_state_names_its_field(tmp_path, initial_state, st
     code, err = run_cli(["run", str(path), "--out", str(tmp_path)])
     assert code == 2, err
     assert f"validation error: {where}:" in err
+
+
+def rabi_doc(steps: int = 5) -> dict:
+    doc = json.loads(resources.files("obsalg.data").joinpath("rabi.json").read_text())
+    doc["grid"]["steps"] = steps
+    return doc
+
+
+@pytest.mark.parametrize("fields, where", [
+    ({"n": DELETE, "epsilon": DELETE}, "config: no operators"),
+    # tau*||H(t0)|| ~ 1e300 * 5e10 overflows; t0 + tau*steps = 1e302 does not
+    ({"grid.tau": 1e300, "epsilon": 1e-5}, "config.grid.tau: the step generator"),
+], ids=["no-operators", "step-generator-overflows"])
+def test_engine_input_fault_names_its_field(tmp_path, fields, where):
+    doc = free_particle_doc()
+    doc["n"], doc["initial_state"] = 2, 0
+    for field, value in fields.items():
+        edited(doc, field, value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path)])
+    assert code == 2, err
+    assert err.startswith(f"validation error: {where}")
+
+
+# content of a referenced file: None for a missing one, DIRECTORY for a directory
+DIRECTORY = object()
+
+
+@pytest.mark.parametrize("content", [None, DIRECTORY, b"\xff\xfe{}", b"{", b"[" * 100000,
+                                     b"1" * 5000],
+                         ids=["missing", "directory", "not-utf-8", "invalid-json",
+                              "nested-too-deep", "integer-too-long"])
+@pytest.mark.parametrize("field", ["operators.SX", "initial_state.density_file", None],
+                         ids=["operator-file", "density-file", "config-file"])
+def test_unreadable_document_names_the_field_that_references_it(tmp_path, field, content):
+    ref = tmp_path / "doc.json"
+    if content is DIRECTORY:
+        ref.mkdir()
+    elif content is not None:
+        ref.write_bytes(content)
+    config = tmp_path / "config.json"
+    if field is None:
+        config, where = ref, str(ref)
+    else:
+        doc = rabi_doc()
+        if field == "operators.SX":
+            doc["operators"]["SX"] = "doc.json"
+        else:
+            doc["initial_state"] = {"density_file": "doc.json"}
+        config.write_text(json.dumps(doc))
+        where = f"config.{field}: {ref}"
+    code, err = run_cli(["run", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert err.startswith(f"validation error: {where}: ") and "Traceback" not in err
+
+
+def test_operator_file_gives_the_trace_of_the_inline_document(tmp_path):
+    doc = rabi_doc(steps=200)
+    (tmp_path / "sx.json").write_text(json.dumps(doc["operators"]["SX"]))
+    (tmp_path / "inline.json").write_text(json.dumps(doc))
+    doc["operators"]["SX"] = "sx.json"  # relative to the config's directory
+    (tmp_path / "by_path.json").write_text(json.dumps(doc))
+    for name in ("inline", "by_path"):
+        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+    for output in ("rabi_trace.csv", "rabi_audit.json"):
+        assert ((tmp_path / "inline" / output).read_bytes()
+                == (tmp_path / "by_path" / output).read_bytes())
+
+
+@pytest.mark.parametrize("hamiltonian", [
+    "(" * 1000 + "SX" + ")" * 1000,
+    " + ".join(["SX"] * 2000),
+    "-" * 1000 + "SX",
+    "cos(" * 1000 + "SX" + ")" * 1000,
+], ids=["parentheses-1000", "sum-2000", "signs-1000", "calls-1000"])
+def test_too_deep_expression_names_its_field(tmp_path, hamiltonian):
+    doc = rabi_doc()
+    doc["hamiltonian"] = hamiltonian
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path)])
+    assert code == 2, err
+    assert err.startswith("validation error: config.hamiltonian: expression nests deeper")
+    assert "Traceback" not in err
+
+
+def test_sum_of_100_terms_runs_as_its_product(tmp_path):
+    # 1 + 1 + ... + 1 is exact, so the left-deep sum is bitwise 100*SX
+    for name, hamiltonian in (("sum", " + ".join(["SX"] * 100)), ("product", "100*SX")):
+        doc = rabi_doc(steps=50)
+        doc["hamiltonian"] = hamiltonian
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+    for output in ("rabi_trace.csv", "rabi_audit.json"):
+        assert ((tmp_path / "sum" / output).read_bytes()
+                == (tmp_path / "product" / output).read_bytes())
+
+
+@pytest.mark.parametrize("argv, outdir", [
+    (["run", "rabi", "--out", "FILE"], None),
+    (["run", "rabi"], "FILE"),                 # OBSALG_OUTDIR names a file
+    (["run", "DIR"], None),                    # the config path is a directory
+    (["audit", "--dims", "4", "--out", "DIR"], None),
+    (["sweep", "weyl", "--n-list", "4", "--out", "DIR"], None),
+    (["sweep", "weyl", "--n-list", "4"], "FILE"),
+], ids=["run-out-file", "run-outdir-file", "run-config-directory", "audit-out-directory",
+        "sweep-out-directory", "sweep-outdir-file"])
+def test_unusable_path_exits_2_naming_it(tmp_path, argv, outdir):
+    # through the console entry, under warnings as errors
+    paths = {"FILE": tmp_path / "a_file", "DIR": tmp_path / "a_directory"}
+    paths["FILE"].write_text("")
+    paths["DIR"].mkdir()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"}
+    if outdir is not None:
+        env["OBSALG_OUTDIR"] = str(paths[outdir])
+    proc = subprocess.run([sys.executable, "-m", "obsalg.cli",
+                           *[str(paths.get(arg, arg)) for arg in argv]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    named = paths[outdir or next(arg for arg in argv if arg in paths)]
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"validation error: {named}: ")
+    assert "Traceback" not in proc.stderr

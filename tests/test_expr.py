@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from obsalg.canonical import make_canonical_pair, make_position
 from obsalg.core import Observable, PseudoObservable, opnorm
 from obsalg.expr import (
+    MAX_DEPTH,
     Add,
     Call,
     Div,
@@ -334,3 +335,26 @@ def test_node_hash_is_structural_and_computed_once(monkeypatch):
     restored = pickle.loads(pickle.dumps(node))
     assert restored == node and "_hash" not in vars(restored)
     assert hash(restored) == first
+
+
+@pytest.mark.parametrize("nest, levels", [
+    (lambda k: "(" * k + "Q" + ")" * k, 0),          # parentheses add no tree level
+    (lambda k: "-" * k + "Q", 0),                    # nor do signs: double negations cancel
+    (lambda k: "cos(" * k + "0.5" + ")" * k, 1),     # k calls and the leaf: k + 1 levels
+    (lambda k: " + ".join(["Q"] * k), 0),            # k terms: k levels
+    (lambda k: "*".join(["Q"] * k), 0),
+], ids=["parentheses", "signs", "calls", "sum", "product"])
+def test_expressions_nest_at_most_max_depth_levels(osc_ctx, nest, levels):
+    ctx, _ = osc_ctx
+    node = parse(nest(MAX_DEPTH - levels))
+    hash(node)  # the memo's first hash recurses per level
+    assert not references_time(node)
+    evaluate(node, ctx)
+    for k in (MAX_DEPTH - levels + 1, 10 * MAX_DEPTH):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(nest(k))
+
+
+def test_integer_literal_reads_as_its_float():
+    assert parse("12345678901234567891") == Num(complex(12345678901234567891))
+    assert parse("1" + "0" * 400) == Num(complex(float("inf")))

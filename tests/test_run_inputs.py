@@ -4,7 +4,7 @@
   and names the flag, with no traceback;
 * every expression value a run reads must be Hermitian: a traced observable
   at every row, H at every time the run steps from; otherwise the run exits
-  2 naming the field and t;
+  2 naming the field and t; one that fails to evaluate exits 3 naming them;
 * a run parses each expression field once and takes ||H(t0)|| once.
 """
 
@@ -119,6 +119,38 @@ def test_non_hermitian_read_exits_2_naming_the_field_and_t(tmp_path, scenario, e
     assert code == 2, err
     assert err.startswith(f"validation error: {where}:") and f"t = {t!r}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edits, where, message, t", [
+    ({"hamiltonian": "ghost"}, "config.hamiltonian", "unbound identifier 'ghost'", 0.0),
+    ({"observables_to_trace": {"g": "ghost"}}, "config.observables_to_trace.g",
+     "unbound identifier 'ghost'", 0.0),
+    ({"picture": "heisenberg", "observables_to_trace": {"g": "ghost"}},
+     "config.observables_to_trace.g", "unbound identifier 'ghost'", 0.0),
+    ({"hamiltonian": "SX/(t - 1.0)", "grid": {"tau": 0.5, "steps": 4}}, "config.hamiltonian",
+     "division by zero", 1.0),
+    ({"hamiltonian": "expi(-i*1000)*SX"}, "config.hamiltonian", "scalar overflow", 0.0),
+    ({"hamiltonian": "ghost(SX)"}, "config.hamiltonian", "unknown function 'ghost'", 0.0),
+    ({"hamiltonian": "cos(i*SX)"}, "config.hamiltonian",
+     "spectral function 'cos' requires a finite Hermitian argument", 0.0),
+    ({"hamiltonian": "exp(t*800*SZ)", "grid": {"tau": 1.0, "steps": 4}}, "config.hamiltonian",
+     "function undefined at spectrum point 800.0", 1.0),
+], ids=["hamiltonian-unbound", "traced-unbound", "heisenberg-traced-unbound",
+        "hamiltonian-division-by-zero", "hamiltonian-scalar-overflow",
+        "hamiltonian-unknown-function", "hamiltonian-non-hermitian-argument",
+        "hamiltonian-spectral-overflow"])
+def test_failed_evaluation_exits_3_naming_the_field_and_t(tmp_path, edits, where, message, t):
+    # only the run knows the bindings and t, so this stays a runtime failure
+    doc = bundled_doc("rabi")
+    doc["grid"]["steps"] = 5
+    doc.update(edits)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3, err
+    assert err.startswith(f"runtime error: {where}: {message}")
+    assert err.endswith(f" at t = {t!r}\n") and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("error")
