@@ -57,9 +57,9 @@ def _integers(minimum: int, single: bool = False):
 def cmd_run(args) -> int:
     doc, base_dir = _resolve_config(args.config)
     config = config_from_doc(doc, base_dir)
-    outdir = Path(args.out) if args.out else _default_outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
     result = run_scenario(config, base_dir)
+    outdir = Path(args.out) if args.out else _default_outdir()
+    outdir.mkdir(parents=True, exist_ok=True)  # only once the run succeeded
     trace_path = outdir / f"{config.name}_trace.csv"
     audit_path = outdir / f"{config.name}_audit.json"
     write_csv(trace_path, result.header, result.rows)

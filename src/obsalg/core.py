@@ -7,11 +7,14 @@ value and every operation a pure function, so unrestricted concurrent use is
 safe.
 
 All spectral calculus runs through one kernel, ``_spectral_frame``: one
-``eigh`` per operator, certified once, returning the eigenvector frame, the
-cluster means and the multiplicities.  A function of the operator is then
-``(V * repeat(f(means), mults)) @ V^dagger``, and spectral decompositions
-keep the frame rather than one dense projector per eigenvalue, so memory
-stays O(d^2).
+``eigh`` per operator, certified once, returning the eigenvector frame, each
+column's cluster mean and the columns that start a cluster.  A function of
+the operator is then ``(V * f(column means)) @ V^dagger``, with f evaluated
+once per cluster, and spectral decompositions keep the frame rather than one
+dense projector per eigenvalue, so memory stays O(d^2).  The kernel and its
+gates take a stack of operators along a leading axis, as time steps do, and
+a single operator is the stack of one: ``eigh`` still runs once per matrix,
+and every matrix keeps its own certificates.
 
 Tolerances are stated once here and reused by all other modules:
 
@@ -42,8 +45,10 @@ Hermitian by construction, and W^dagger D W of a density D is positive.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
+import sys
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -91,6 +96,21 @@ def opnorm(m):
     if np.isnan(norms).any():
         raise AlgebraError("no spectral norm: the SVD failed on a non-finite entry")
     return float(norms) if norms.ndim == 0 else norms
+
+
+def _gate(residual, bound: float, message: Callable[[float], str]) -> None:
+    """Raise ``message(value)`` unless ``residual <= bound`` (a NaN fails it).
+
+    ``residual`` is one value or one per matrix of a stack; a stack fails at its first
+    failing row, which the message names.
+    """
+    ok = residual <= bound
+    if ok if isinstance(ok, bool) else ok.all():
+        return
+    residual = np.asarray(residual)
+    j = int(np.argmin(np.ravel(ok)))
+    text = message(float(residual.flat[j]))
+    raise AlgebraError(text if residual.ndim == 0 else f"{text} (stack row {j})")
 
 
 def vecnorm(x):
@@ -146,6 +166,14 @@ class PseudoObservable:
         return cls(np.eye(dim, dtype=complex), unit_tag)
 
     @classmethod
+    def _view(cls, entries: np.ndarray) -> "PseudoObservable":
+        """Hold read-only certified square ``entries`` as they are: no copy, no check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "unit_tag", None)
+        return self
+
+    @classmethod
     def zeros(cls, dim: int, unit_tag: str | None = None):
         return cls(np.zeros((dim, dim), dtype=complex), unit_tag)
 
@@ -189,11 +217,16 @@ class PseudoObservable:
         return f"{type(self).__name__}(dim={self.dim}{tag})"
 
 
-def hermiticity_defect(entries: np.ndarray) -> float:
-    """max |E - E^dagger| relative to max(1, max |E|); NaN for a non-finite entry."""
+def hermiticity_defect(entries: np.ndarray):
+    """max |E - E^dagger| relative to max(1, max |E|); NaN for a non-finite entry.
+
+    One value per matrix of a stack.
+    """
     arr = np.asarray(entries)
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-    return float(np.max(np.abs(arr - arr.conj().T))) / scale
+    scale = np.maximum(1.0, np.max(np.abs(arr), axis=(-2, -1), initial=0.0))
+    defect = np.max(np.abs(arr - arr.conj().swapaxes(-1, -2)), axis=(-2, -1),
+                    initial=0.0) / scale
+    return float(defect) if defect.ndim == 0 else defect
 
 
 class Observable(PseudoObservable):
@@ -303,16 +336,20 @@ def is_compatible(a: PseudoObservable, b: PseudoObservable) -> bool:
 # projector and dyad bases
 # ---------------------------------------------------------------------------
 
+def _frobenius(x: np.ndarray):
+    """``np.linalg.norm`` of a matrix, or of each matrix of a stack."""
+    return vecnorm(x.reshape(*x.shape[:-2], -1))
+
+
 def _check_orthonormal(frame: np.ndarray,
                        failure: str = "frame is not orthonormal") -> None:
-    """Gram certificate ||frame^dagger frame - 1||_F <= TOL_RECON.
+    """Gram certificate ||frame^dagger frame - 1||_F <= TOL_RECON, per matrix of a stack.
 
     Frobenius, so at most sqrt(d) stricter than the spectral-norm gate; a
     non-finite entry fails it.
     """
-    gram = float(np.linalg.norm(frame.conj().T @ frame - np.eye(frame.shape[0])))
-    if not gram <= TOL_RECON:
-        raise AlgebraError(f"{failure}: Frobenius residual {gram:.3e}")
+    gram = _frobenius(frame.conj().swapaxes(-1, -2) @ frame - np.eye(frame.shape[-1]))
+    _gate(gram, TOL_RECON, lambda value: f"{failure}: Frobenius residual {value:.3e}")
 
 
 class ProjectorBasis:
@@ -430,7 +467,7 @@ class ProjectorBasis:
 
     def combine(self, values) -> np.ndarray:
         """The entries of sum_j v_j I_j, one value per projector; none is built."""
-        return _spectral_apply(self.frame, values, self._block_sizes)
+        return _spectral_apply(self.frame, np.repeat(np.asarray(values), self._block_sizes))
 
 
 class SpectralDecomposition:
@@ -459,51 +496,85 @@ class SpectralDecomposition:
         return Observable._trusted(self.basis.combine(self.basis.labels))
 
 
-def _spectral_apply(frame: np.ndarray, values, mults) -> np.ndarray:
-    """(V * repeat(values, mults)) @ V^dagger: one value per column cluster."""
-    return (frame * np.repeat(np.asarray(values), mults)) @ frame.conj().T
+def _spectral_apply(frame: np.ndarray, columns) -> np.ndarray:
+    """(V * columns) @ V^dagger: column j of V scaled by ``columns[j]``, per matrix of a stack."""
+    return (frame * columns[..., None, :]) @ frame.conj().swapaxes(-1, -2)
 
 
-def _clusters(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Means and sizes of the runs of ascending ``values`` whose neighbours lie within ``gap``."""
-    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap)
-    sizes = np.diff(np.append(starts, len(values)))
-    means = values[starts]
-    for j in np.flatnonzero(sizes > 1):
-        means[j] = np.mean(values[starts[j]:starts[j] + sizes[j]])
-    return means, sizes
+def _clusters(values: np.ndarray, gap) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of ascending ``values`` whose neighbours lie within ``gap``, per row of a stack.
 
-
-def _spectral_frame(a: PseudoObservable):
-    """The spectral kernel: one validated eigendecomposition of a Hermitian element.
-
-    Returns ``(frame, means, mults)``: the eigenvector frame (read-only), the
-    mean of each eigenvalue cluster and the cluster sizes.  Eigenvalues within
-    ``GROUPING_TOL * spectral radius`` of their neighbour share a cluster, so
-    an operator of small norm keeps distinct eigenvalues apart.  Certifies the
-    input's Hermiticity (unless it is already an :class:`Observable`), a
-    finite spectrum, the frame's Gram residual
-    ``||V^dagger V - 1||_F <= TOL_RECON`` and the reconstruction residual
-    ``||sum_j a_j I_j - A||_F <= TOL_RECON * max(1, radius)``; both residuals
-    are Frobenius, at most sqrt(d) stricter than spectral-norm gates.
+    Returns each value's run mean and a mask of the values that start a run.  A run of
+    one keeps its value; only the rows with a longer run are walked one by one.
     """
-    obs = as_observable(a)
+    starts = np.ones(values.shape, dtype=bool)
+    starts[..., 1:] = values[..., 1:] - values[..., :-1] > np.asarray(gap)[..., None]
+    if starts.all():
+        return values, starts
+    d = values.shape[-1]
+    columns = values.copy()
+    flat_values, flat_starts, flat_columns = (
+        x.reshape(-1, d) for x in (values, starts, columns))
+    for row in np.flatnonzero(~flat_starts.all(axis=1)):
+        bounds = np.append(np.flatnonzero(flat_starts[row]), d)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b - a > 1:
+                flat_columns[row, a:b] = np.mean(flat_values[row, a:b])
+    return columns, starts
+
+
+def _cluster_sizes(starts: np.ndarray) -> np.ndarray:
+    """The size of each run of one row, from the mask of the values that start a run."""
+    return np.diff(np.flatnonzero(starts), append=len(starts))
+
+
+def _per_column(values, starts: np.ndarray) -> np.ndarray:
+    """One value per run, row-major over a stack, spread over the columns of its run."""
+    return np.asarray(values)[np.cumsum(starts) - 1].reshape(starts.shape)
+
+
+def _eigh_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of each matrix of a (k, d, d) stack, one call per matrix."""
     try:
-        w, v = np.linalg.eigh(obs.entries)
+        if len(stack) == 1:  # no copy into a stack for one matrix
+            return tuple(x[None] for x in np.linalg.eigh(stack[0]))
+        w, v = np.empty(stack.shape[:-1]), np.empty(stack.shape, dtype=complex)
+        for j, a in enumerate(stack):
+            w[j], v[j] = np.linalg.eigh(a)
+        return w, v
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise AlgebraError(f"eigensolver failed: {exc}") from exc
-    if not np.isfinite(w).all():
-        raise AlgebraError("spectrum is not finite")
-    radius = float(np.max(np.abs(w))) if w.size else 0.0
-    means, mults = _clusters(w, GROUPING_TOL * radius)
-    scale = max(1.0, radius)
+
+
+def _spectral_frame(entries: np.ndarray):
+    """The spectral kernel: one validated eigendecomposition per Hermitian matrix.
+
+    ``entries`` is one matrix or a stack of them along leading axes, certified
+    Hermitian by the caller.  Returns ``(frame, columns, starts)``: the eigenvector
+    frame (read-only), each eigenvalue's cluster mean and a mask of the eigenvalues
+    that start a cluster, all with the stack's leading axes.  Eigenvalues within
+    ``GROUPING_TOL * spectral radius`` of their neighbour share a cluster, so an
+    operator of small norm keeps distinct eigenvalues apart.  Certifies, per matrix,
+    a finite spectrum, the frame's Gram residual ``||V^dagger V - 1||_F <= TOL_RECON``
+    and the reconstruction residual ``||sum_j a_j I_j - A||_F <= TOL_RECON * max(1,
+    radius)``; both residuals are Frobenius, at most sqrt(d) stricter than
+    spectral-norm gates, and the second also rejects entries that are not Hermitian
+    beyond it (``eigh`` reads one triangle).  A failure in a stack names its row.
+    """
+    d = entries.shape[-1]
+    w, v = (x.reshape(entries.shape[:-2] + x.shape[1:])
+            for x in _eigh_rows(entries.reshape(-1, d, d)))
+    radius = np.max(np.abs(w), axis=-1)
+    _gate(radius, sys.float_info.max, lambda _: "spectrum is not finite")
+    columns, starts = _clusters(w, GROUPING_TOL * radius)
+    scale = np.maximum(1.0, radius)
     _check_orthonormal(v)
     # scaled before the norm, so its sum of squares cannot overflow for a large radius
-    recon = float(np.linalg.norm((_spectral_apply(v, means, mults) - obs.entries) / scale))
-    if not recon <= TOL_RECON:
-        raise AlgebraError(f"spectral reconstruction Frobenius residual {recon:.3e} "
-                           f"relative to max(1, radius) = {scale:.3e}")
-    return _frozen(v), means, mults
+    scaled = (_spectral_apply(v, columns) - entries) / np.asarray(scale)[..., None, None]
+    recon = _frobenius(scaled)
+    _gate(recon, TOL_RECON, lambda value: f"spectral reconstruction Frobenius residual "
+                                          f"{value:.3e} relative to max(1, radius)")
+    return _frozen(v), columns, starts
 
 
 def spectral_decompose(a: PseudoObservable) -> SpectralDecomposition:
@@ -514,8 +585,9 @@ def spectral_decompose(a: PseudoObservable) -> SpectralDecomposition:
     eigenvector cluster.  The basis is frame-backed (see
     :class:`ProjectorBasis`), so no projector is built until it is indexed.
     """
-    frame, means, mults = _spectral_frame(a)
-    return SpectralDecomposition(ProjectorBasis._over_frame(frame, mults, means.tolist()))
+    frame, columns, starts = _spectral_frame(as_observable(a).entries)
+    return SpectralDecomposition(ProjectorBasis._over_frame(
+        frame, _cluster_sizes(starts), columns[starts].tolist()))
 
 
 FunctionLike = Union[Callable[[float], complex], Mapping[float, complex],
@@ -523,19 +595,29 @@ FunctionLike = Union[Callable[[float], complex], Mapping[float, complex],
 
 
 def _function_values(f: FunctionLike, eigenvalues: Sequence[float],
-                     tol: float) -> list[complex]:
+                     tols: Sequence[float]) -> list[complex]:
+    """f at each eigenvalue; a tabulated key matches within that eigenvalue's tolerance.
+
+    A callable is evaluated with floating-point warnings off, and a value that is not
+    finite (an overflow) leaves it undefined there, whatever the warning filter.
+    """
     if callable(f):
         values = []
-        for lam in eigenvalues:
-            try:
-                values.append(complex(f(lam)))
-            except Exception as exc:
-                raise AlgebraError(
-                    f"function undefined at spectrum point {lam!r}: {exc}") from exc
+        with np.errstate(all="ignore"):
+            for lam in eigenvalues:
+                try:
+                    value = complex(f(lam))
+                except Exception as exc:
+                    raise AlgebraError(
+                        f"function undefined at spectrum point {lam!r}: {exc}") from exc
+                if not cmath.isfinite(value):
+                    raise AlgebraError(f"function undefined at spectrum point {lam!r}: "
+                                       f"its value {value!r} is not finite")
+                values.append(value)
         return values
     table = list(f.items()) if isinstance(f, Mapping) else [tuple(p) for p in f]
     values = []
-    for lam in eigenvalues:
+    for lam, tol in zip(eigenvalues, tols):
         hits = [y for x, y in table if abs(float(x) - lam) <= tol]
         if not hits:
             raise AlgebraError(f"function undefined at spectrum point {lam!r}")
@@ -554,20 +636,21 @@ def apply_function(f: FunctionLike, a: PseudoObservable) -> PseudoObservable:
     this differs from evaluating at each raw eigenvalue by at most
     ``|f'| * GROUPING_TOL * radius`` per neighbour step within the cluster.
     A tabulated key matches a mean within ``GROUPING_TOL * radius``, the
-    clustering rule.  Returns an :class:`Observable` when the result is
-    Hermitian (real-valued ``f``), otherwise a plain element (e.g. complex
-    phases).
+    clustering rule.  A callable whose value is not finite at some mean
+    raises.  Returns an :class:`Observable` when the result is Hermitian
+    (real-valued ``f``), otherwise a plain element (e.g. complex phases).
     """
-    return _wrap_like(_function_entries(f, a), a.unit_tag)
+    return _wrap_like(_function_entries(f, as_observable(a).entries), a.unit_tag)
 
 
-def _function_entries(f: FunctionLike, a: PseudoObservable) -> np.ndarray:
-    """The entries of :func:`apply_function`, with no Hermiticity probe of the result."""
-    frame, means, mults = _spectral_frame(a)
-    eigs = means.tolist()
-    radius = max((abs(x) for x in eigs), default=0.0)
-    values = _function_values(f, eigs, GROUPING_TOL * radius)
-    return _spectral_apply(frame, values, mults)
+def _function_entries(f: FunctionLike, entries: np.ndarray) -> np.ndarray:
+    """The entries of :func:`apply_function` of certified Hermitian ``entries``, or of each
+    matrix of a stack, with no Hermiticity probe of the result."""
+    frame, columns, starts = _spectral_frame(entries)
+    radius = np.max(np.abs(columns), axis=-1, keepdims=True)
+    tols = np.broadcast_to(GROUPING_TOL * radius, columns.shape)[starts]
+    values = _function_values(f, columns[starts].tolist(), tols.tolist())
+    return _spectral_apply(frame, _per_column(values, starts))
 
 
 def _require(ok: np.ndarray, message: Callable[..., str]) -> None:

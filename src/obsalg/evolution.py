@@ -16,6 +16,13 @@ order.  It accumulates the anti-time-ordered V_{m+1} = U_m V_m, so a driven
 Heisenberg run of length T differs from the Schroedinger run by the second
 Magnus term (1/2) int int [H(t1), H(t2)]: O(T^2), not shrinking with tau.
 
+The left-point rule reads H only at grid times known in advance, so a run
+reads H at a whole chunk of them as one stack (:meth:`Hamiltonian.values`)
+and certifies their unitaries as one stack
+(:meth:`EvolutionEngine.step_unitaries`).  H's memo and the unitary cache
+each hold one chunk, and ``EvolutionEngine.unitary`` serves every grid step
+from that cache.
+
 Difference-quotient residuals against the continuous equations of motion
 (Heisenberg, Schroedinger, von Neumann) are first order in tau.  Each
 equation has one ``*_step_residual`` function, the residual of one step of a
@@ -34,13 +41,17 @@ import numpy as np
 
 from .canonical import _reversal_parity, make_canonical_pair, make_position, translate_labels
 from .core import (
+    TOL_HERM,
     TOL_RECON,
     AlgebraError,
     Observable,
     PseudoObservable,
     _conjugate,
+    _frozen,
+    _gate,
     as_observable,
     commutator,
+    hermiticity_defect,
     opnorm,
     vecnorm,
 )
@@ -78,13 +89,36 @@ class TimeGrid:
         return self.t0 + self.tau * np.arange(self.steps + 1)
 
 
+class _Read:
+    """A node's values at some times: a read-only (k, d, d) stack, whether each row is
+    Hermitian, and the row of each time."""
+
+    __slots__ = ("times", "rows", "stack", "hermitian")
+
+    def __init__(self, times: tuple[float, ...], stack: np.ndarray, hermitian: np.ndarray):
+        self.times, self.stack, self.hermitian = times, _frozen(stack), _frozen(hermitian)
+        self.rows = {t: j for j, t in enumerate(times)}
+
+    def rows_of(self, times: tuple[float, ...]) -> slice | None:
+        """The rows holding ``times`` in order, or None when they are not all held so."""
+        first = self.rows.get(times[0])
+        if first is None or self.times[first:first + len(times)] != times:
+            return None
+        return slice(first, first + len(times))
+
+
 class Hamiltonian:
     """An observable-valued expression for H, and the memo of expression values.
 
     Every expression evaluated in H's context (H itself, traced observables)
-    goes through :meth:`value`: one that does not reference ``t`` is
-    evaluated once, one that does keeps only its value at the latest t.  H is
-    validated Hermitian when it is evaluated.
+    goes through :meth:`values`, or :meth:`value` for one time.  The context
+    evaluates a subtree that does not reference ``t`` once per run.  A node
+    that references ``t`` keeps its latest read of several times (one
+    trajectory chunk, stacked) and its latest read of one time outside it, so
+    memory stays flat in the step count; a read reuses the rows those hold
+    and evaluates the other times as one stack.  Each row is flagged
+    Hermitian or not when it is evaluated, and H is validated Hermitian when
+    it is read.
     """
 
     def __init__(self, expr: ObservableExpr | str, ctx: EvalContext,
@@ -95,22 +129,54 @@ class Hamiltonian:
         if not self.hbar > 0:
             raise AlgebraError(f"hbar must be positive, got {hbar}")
         self.time_dependent = references_time(self.expr)
-        # node -> (t of the value, or None when node does not reference t; value)
-        self._values: dict[ObservableExpr, tuple[float | None, PseudoObservable]] = {}
+        # node -> its latest read: of several times, and of one time outside those
+        self._chunks: dict[ObservableExpr, _Read] = {}
+        self._singles: dict[ObservableExpr, _Read] = {}
 
     @property
     def dim(self) -> int:
         return self.ctx.dim
 
+    def values(self, node: ObservableExpr, times) -> tuple[np.ndarray, np.ndarray]:
+        """``node`` at each of ``times``: a read-only (k, d, d) stack of entries and,
+        per row, whether it is Hermitian.  A node that does not reference t has one row."""
+        times = tuple(float(t) for t in times)
+        if not references_time(node):  # one value, read once per run
+            read = self._singles.get(node)
+            if read is None:
+                read = self._singles[node] = _Read((None,), *self._evaluate(node, times[:1]))
+            return read.stack, read.hermitian
+        held = [read for read in (self._chunks.get(node), self._singles.get(node)) if read]
+        for read in held:
+            rows = read.rows_of(times)
+            if rows is not None:
+                return read.stack[rows], read.hermitian[rows]
+        found = {j: (read, read.rows[t]) for j, t in enumerate(times)
+                 for read in held if t in read.rows}
+        missing = [j for j in range(len(times)) if j not in found]
+        if found:  # the held rows beside the ones evaluated now
+            stack = np.empty((len(times), self.dim, self.dim), dtype=complex)
+            hermitian = np.empty(len(times), dtype=bool)
+            for j, (read, row) in found.items():
+                stack[j], hermitian[j] = read.stack[row], read.hermitian[row]
+            if missing:
+                stack[missing], hermitian[missing] = self._evaluate(
+                    node, tuple(times[j] for j in missing))
+        else:
+            stack, hermitian = self._evaluate(node, times)
+        read = _Read(times, stack, hermitian)
+        (self._singles if len(times) == 1 else self._chunks)[node] = read
+        return read.stack, read.hermitian
+
+    def _evaluate(self, node: ObservableExpr, times: tuple[float, ...]):
+        """``node`` at ``times`` as one stack, and whether each row is Hermitian."""
+        stack = evaluate(node, self.ctx.with_t(times))
+        return stack, hermiticity_defect(stack) <= TOL_HERM
+
     def value(self, node: ObservableExpr, t: float) -> PseudoObservable:
-        """``node`` evaluated at time t in H's context, memoized."""
-        entry = self._values.get(node)
-        if entry is None or entry[0] not in (None, t):
-            t = float(t)
-            timed = entry is not None or references_time(node)
-            entry = (t if timed else None, evaluate(node, self.ctx.with_t(t)))
-            self._values[node] = entry
-        return entry[1]
+        """``node`` at time t, an Observable exactly when it is Hermitian."""
+        stack, hermitian = self.values(node, (t,))
+        return (Observable if hermitian[0] else PseudoObservable)._view(stack[0])
 
     def evaluate(self, t: float) -> Observable:
         """H(t), validated Hermitian."""
@@ -120,9 +186,11 @@ class Hamiltonian:
 class EvolutionEngine:
     """Hamiltonian + time grid + picture; produces steps and residual audits.
 
-    Step unitaries are cached by step size: for a constant H once per run,
-    for a time-dependent H only at the latest t (the left-point rule visits
-    each t once), so memory stays flat in the step count.
+    Step unitaries are cached.  :meth:`step_unitaries` certifies the grid-step
+    unitaries of one chunk of grid times as one stack, and the cache holds
+    that chunk until the next.  Any other U is computed on its own and kept
+    by step size: for a constant H once per run, for a time-dependent H only
+    at the latest t.  So memory stays flat in the step count.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, grid: TimeGrid,
@@ -132,6 +200,9 @@ class EvolutionEngine:
         self.hamiltonian = hamiltonian
         self.grid = grid
         self.picture = picture
+        # t -> row of _chunk: the grid-step unitaries of the latest chunk
+        self._chunk_rows: dict[float, int] = {}
+        self._chunk: np.ndarray | None = None
         # step -> certified U, all at time _unitaries_t (None for a constant H)
         self._unitaries: dict[float, PseudoObservable] = {}
         self._unitaries_t: float | None = None
@@ -149,21 +220,46 @@ class EvolutionEngine:
     def unitary(self, t: float, step: float | None = None) -> PseudoObservable:
         """U = exp(i (step/hbar) H(t)); step defaults to the grid tau.
 
-        Every U is certified against TOL_RECON when it is computed.
+        Every U is certified against TOL_RECON when it is computed.  A grid-step
+        U of the chunk :meth:`step_unitaries` certified is read from the cache.
         """
         step = self.grid.tau if step is None else float(step)
+        if step == self.grid.tau and t in self._chunk_rows:
+            return PseudoObservable._view(self._chunk[self._chunk_rows[t]])
         if self.hamiltonian.time_dependent and t != self._unitaries_t:
             self._unitaries.clear()
             self._unitaries_t = float(t)
         if step not in self._unitaries:
-            u = unitary_exponential((step / self.hbar) * self.hamiltonian.evaluate(t))
-            defect = unitary_defect(u)
-            if not defect <= TOL_RECON:
-                raise AlgebraError(f"evolution unitary defect {defect:.3e}")
-            if step == self.grid.tau:
-                self.max_grid_defect = max(self.max_grid_defect, defect)
-            self._unitaries[step] = u
+            self._unitaries[step] = PseudoObservable._view(self._certify((t,), step)[0])
         return self._unitaries[step]
+
+    def step_unitaries(self, times) -> None:
+        """Certify U(t) at the grid step for each of ``times`` as one stack, which the
+        cache then holds; a constant H's U is certified once, when a step asks for it."""
+        if self.hamiltonian.time_dependent and len(times):
+            times = tuple(float(t) for t in times)
+            self._chunk = self._certify(times, self.grid.tau)
+            self._chunk_rows = {t: j for j, t in enumerate(times)}
+
+    def _certify(self, times: tuple[float, ...], step: float) -> np.ndarray:
+        """exp(i (step/hbar) H(t)) for each of ``times``, as one certified read-only stack.
+
+        Each matrix is gated as one step's U: H(t) Hermitian, (step/hbar) H(t) finite,
+        the spectral kernel's certificates and ||U^dagger U - 1|| <= TOL_RECON.
+        """
+        h, hermitian = self.hamiltonian.values(self.hamiltonian.expr, times)
+        if not hermitian.all():  # the first such H(t) raises, as a single read does
+            Observable(h[int(np.argmin(hermitian))])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as not finite instead
+            g = h * complex(step / self.hbar)
+        if not np.isfinite(g).all():
+            raise AlgebraError("observable entries are not finite")
+        u = unitary_exponential(g)
+        defect = unitary_defect(u)
+        _gate(defect, TOL_RECON, lambda value: f"evolution unitary defect {value:.3e}")
+        if step == self.grid.tau:
+            self.max_grid_defect = max(self.max_grid_defect, float(np.max(defect)))
+        return _frozen(u)
 
     def heisenberg_frames(self) -> Iterator[tuple[float, np.ndarray]]:
         """(t_m, V_m) over the grid, V_0 = 1 and V_{m+1} = U(t_m) V_m: O(t_m) = V_m O V_m^dagger.
@@ -171,11 +267,11 @@ class EvolutionEngine:
         The only product of step unitaries, so it alone sets their time order.
         """
         v = np.eye(self.dim, dtype=complex)
-        *starts, end = (float(t) for t in self.grid.times())
-        for t in starts:
+        times = self.grid.times()
+        for t in times[:-1].tolist():
             yield t, v
             v = self.unitary(t).entries @ v
-        yield end, v
+        yield float(times[-1]), v
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,19 @@ Grammar (infix, standard precedence ``^`` > unary ``-`` > ``* /`` > ``+ -``)::
     atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
 ``i`` is the imaginary unit.  ``t`` is the time symbol, bound by the
-evaluation context.  Scalar functions ``cos``, ``sin``, ``exp``, ``expi``
-(exp of i times) apply by spectral calculus and require Hermitian arguments;
-``dag`` is the structural Hermitian transpose.  Every other identifier is
-resolved by the context, either to a matrix (generators such as ``Q``, ``P``)
-or to a scalar constant (``hbar``, ``m``, ``omega``, ...).
+evaluation context to one time or to a tuple of k times.  Bound to k
+times, a scalar subtree that references ``t`` is evaluated per time in
+Python complex arithmetic and an operator subtree as one (k, d, d) stack;
+one time is the case k = 1.  A subtree that does not reference ``t`` is
+evaluated once per context and reused; no sum is re-associated, so the
+values are those of one evaluation per time, bit for bit.
+
+Scalar functions ``cos``, ``sin``, ``exp``, ``expi`` (exp of i times) apply
+by spectral calculus and require Hermitian arguments; a value that is not
+finite fails the evaluation.  ``dag`` is the structural Hermitian
+transpose.  Every other identifier is resolved by the context, either to a
+matrix (generators such as ``Q``, ``P``) or to a scalar constant (``hbar``,
+``m``, ``omega``, ...).
 
 Products of non-commuting generators keep their written order; no
 symmetrization is applied.  Hermiticity of results is checked by consumers
@@ -37,7 +45,6 @@ import numpy as np
 
 from .core import (
     AlgebraError,
-    Observable,
     PseudoObservable,
     _function_entries,
     _wrap_like,
@@ -76,7 +83,8 @@ def _node(cls):
 
     Nodes key the Hamiltonian's value memo, so a lookup would otherwise hash
     the whole tree again.  The cached hash is not pickled: string hashes
-    differ between processes.
+    differ between processes.  :func:`references_time` is cached on the node
+    the same way.
     """
     cls = dataclass(frozen=True)(cls)
     structural_hash = cls.__hash__
@@ -89,7 +97,7 @@ def _node(cls):
         return cached
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_timed")}
 
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
@@ -392,19 +400,77 @@ def unparse(node: Node) -> str:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Bindings for evaluation: matrices for generators, scalars for constants."""
+    """Bindings for evaluation: matrices for generators, scalars for constants.
+
+    ``t`` is one time, a tuple of times, or unbound.  ``fixed`` holds the value of
+    each evaluated subtree that does not reference ``t``, shared by the ``with_t``
+    copies of a context: the bindings it depends on do not change.
+    """
 
     dim: int
     operators: Mapping[str, PseudoObservable] = field(default_factory=dict)
     constants: Mapping[str, complex] = field(default_factory=dict)
-    t: float | None = None
+    t: float | tuple[float, ...] | None = None
+    fixed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def with_t(self, t: float) -> "EvalContext":
-        return EvalContext(self.dim, self.operators, self.constants, float(t))
+    def with_t(self, t) -> "EvalContext":
+        """This context with ``t`` bound to one time, or to a sequence of times."""
+        t = float(t) if np.ndim(t) == 0 else tuple(float(s) for s in t)
+        ctx = EvalContext(self.dim, self.operators, self.constants, t)
+        object.__setattr__(ctx, "fixed", self.fixed)
+        return ctx
 
 
 def _eval(node: Node, ctx: EvalContext):
-    """Structural evaluation to a complex scalar or a dense matrix."""
+    """Structural evaluation; a subtree that does not reference t is read from ``ctx.fixed``.
+
+    A value that does not depend on t is a complex scalar or a d x d matrix.  One
+    that does holds a value per bound time: a list of complex scalars, or a
+    (k, d, d) stack of matrices.
+    """
+    if references_time(node):
+        return _eval_node(node, ctx, _eval)
+    value = ctx.fixed.get(node)
+    if value is None:  # its subtrees are not kept: one value per fixed subtree
+        value = ctx.fixed[node] = _eval_node(node, ctx, _eval_fixed)
+    return value
+
+
+def _eval_fixed(node: Node, ctx: EvalContext):
+    """Evaluation inside a subtree that does not reference t; no part of it is kept."""
+    return _eval_node(node, ctx, _eval_fixed)
+
+
+def _scalars(value) -> bool:
+    return not isinstance(value, np.ndarray)
+
+
+def _per_time(op, *values):
+    """``op`` of Python complex scalars, per time when a value holds one per time."""
+    if not any(isinstance(v, list) for v in values):
+        return op(*values)
+    k = max(len(v) for v in values if isinstance(v, list))
+    return [op(*args) for args in zip(*(v if isinstance(v, list) else [v] * k
+                                       for v in values))]
+
+
+def _as_matrix(value, dim: int):
+    """A scalar as scalar * 1, one per time for a list; a matrix or stack as it is."""
+    if isinstance(value, list):
+        return np.array(value)[:, None, None] * np.eye(dim, dtype=complex)
+    if _scalars(value):
+        return value * np.eye(dim, dtype=complex)
+    return value
+
+
+def _scaled(value):
+    """A factor of an elementwise product with matrices: one scalar per time as a
+    (k, 1, 1) array, anything else as it is."""
+    return np.array(value)[:, None, None] if isinstance(value, list) else value
+
+
+def _eval_node(node: Node, ctx: EvalContext, sub):
+    """One level of evaluation; ``sub`` evaluates the children."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Sym):
@@ -412,7 +478,7 @@ def _eval(node: Node, ctx: EvalContext):
         if name == _TIME_NAME:
             if ctx.t is None:
                 raise ExprEvalError("the time symbol 't' is not bound")
-            return complex(ctx.t)
+            return [complex(t) for t in (ctx.t if isinstance(ctx.t, tuple) else (ctx.t,))]
         if name in ctx.operators:
             bound = ctx.operators[name]
             arr = np.asarray(getattr(bound, "entries", bound), dtype=complex)
@@ -425,72 +491,83 @@ def _eval(node: Node, ctx: EvalContext):
             return complex(ctx.constants[name])
         raise ExprEvalError(f"unbound identifier {name!r}")
     if isinstance(node, Neg):
-        return -_eval(node.operand, ctx)
+        val = sub(node.operand, ctx)
+        return _per_time(lambda x: -x, val) if _scalars(val) else -val
     if isinstance(node, Dag):
-        val = _eval(node.operand, ctx)
-        return val.conj().T if isinstance(val, np.ndarray) else val.conjugate()
+        val = sub(node.operand, ctx)
+        if _scalars(val):
+            return _per_time(lambda x: x.conjugate(), val)
+        return val.conj().swapaxes(-1, -2)
     if isinstance(node, Add) or isinstance(node, Sub):
-        left, right = _eval(node.left, ctx), _eval(node.right, ctx)
-        left, right = _promote_pair(left, right, ctx.dim)
-        return left + right if isinstance(node, Add) else left - right
+        left, right = sub(node.left, ctx), sub(node.right, ctx)
+        add = isinstance(node, Add)
+        if _scalars(left) and _scalars(right):
+            return _per_time(lambda a, b: a + b if add else a - b, left, right)
+        left, right = _as_matrix(left, ctx.dim), _as_matrix(right, ctx.dim)
+        return left + right if add else left - right
     if isinstance(node, Mul):
-        left, right = _eval(node.left, ctx), _eval(node.right, ctx)
+        left, right = sub(node.left, ctx), sub(node.right, ctx)
+        if _scalars(left) and _scalars(right):
+            return _per_time(lambda a, b: a * b, left, right)
         if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
             return left @ right
-        return left * right
+        return _scaled(left) * _scaled(right)
     if isinstance(node, Div):
-        left, right = _eval(node.left, ctx), _eval(node.right, ctx)
+        left, right = sub(node.left, ctx), sub(node.right, ctx)
         if isinstance(right, np.ndarray):
             raise ExprEvalError("division by an operator-valued expression")
-        if right == 0:
+        if 0 in (right if isinstance(right, list) else [right]):
             raise ExprEvalError("division by zero")
-        return left / right
+        if _scalars(left):
+            return _per_time(lambda a, b: a / b, left, right)
+        return left / _scaled(right)
     if isinstance(node, Pow):
-        base = _eval(node.base, ctx)
+        base = sub(node.base, ctx)
         if isinstance(base, np.ndarray):
             return np.linalg.matrix_power(base, node.exponent)
-        return base ** node.exponent
+        return _per_time(lambda b: b ** node.exponent, base)
     if isinstance(node, Call):
         if node.func not in SPECTRAL_FUNCTIONS:
             raise ExprEvalError(f"unknown function {node.func!r}")
         f = SPECTRAL_FUNCTIONS[node.func]
-        arg = _eval(node.arg, ctx)
+        arg = sub(node.arg, ctx)
         if isinstance(arg, np.ndarray):
-            defect = hermiticity_defect(arg)
+            defect = np.max(hermiticity_defect(arg))  # the worst matrix of a stack
             if not defect <= TOL_HERM:
                 raise ExprEvalError(
                     f"spectral function {node.func!r} requires a finite Hermitian "
                     f"argument (defect {defect:.3e})")
-            return _function_entries(f, Observable._trusted(arg))
+            with np.errstate(over="ignore", invalid="ignore"):  # reported as not finite
+                value = _function_entries(f, arg)
+            if not np.isfinite(value).all():
+                raise ExprEvalError(f"spectral function {node.func!r} has a value that is "
+                                    f"not finite")
+            return value
         with np.errstate(over="ignore", invalid="ignore"):
-            value = complex(f(complex(arg)))
-        if not cmath.isfinite(value):
-            raise ExprEvalError(f"{node.func}({arg!r}) is not finite")
+            value = _per_time(lambda x: complex(f(complex(x))), arg)
+        for x, y in zip(*(v if isinstance(v, list) else [v] for v in (arg, value))):
+            if not cmath.isfinite(y):
+                raise ExprEvalError(f"{node.func}({x!r}) is not finite")
         return value
     raise ExprEvalError(f"cannot evaluate node {node!r}")
 
 
-def _promote_pair(left, right, dim: int):
-    if isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-        right = right * np.eye(dim, dtype=complex)
-    elif isinstance(right, np.ndarray) and not isinstance(left, np.ndarray):
-        left = left * np.eye(dim, dtype=complex)
-    return left, right
-
-
-def evaluate(node: ObservableExpr, ctx: EvalContext) -> PseudoObservable:
+def evaluate(node: ObservableExpr, ctx: EvalContext):
     """Evaluate to an algebra element; scalars promote to gamma * identity.
 
     Returns an :class:`~obsalg.core.Observable` when the value happens to be
-    Hermitian (checked after evaluation, never assumed).
+    Hermitian (checked after evaluation, never assumed).  With ``t`` bound to a
+    tuple of k times, returns the entries of the k values instead, as one (k, d, d)
+    stack, unprobed.
     """
     try:
         value = _eval(node, ctx)
     except OverflowError as exc:  # a scalar beyond float range: cmath and complex ** raise
         raise ExprEvalError(f"scalar overflow: {exc}") from exc
-    if not isinstance(value, np.ndarray):
-        value = value * np.eye(ctx.dim, dtype=complex)
-    return _wrap_like(value, None)
+    entries = _as_matrix(value, ctx.dim)
+    if isinstance(ctx.t, tuple):  # one row per time, repeated if it does not depend on t
+        return np.broadcast_to(entries, (len(ctx.t), ctx.dim, ctx.dim))
+    return _wrap_like(entries[0] if entries.ndim == 3 else entries, None)
 
 
 # --- time reversal -------------------------------------------------------------------
@@ -539,15 +616,13 @@ def explicit_time_derivative(node: ObservableExpr, ctx: EvalContext,
 
 
 def references_time(node: ObservableExpr) -> bool:
-    """Whether the expression mentions the time symbol."""
-    if isinstance(node, Sym):
-        return node.name == _TIME_NAME
-    if isinstance(node, Num):
-        return False
-    if isinstance(node, (Neg, Dag)):
-        return references_time(node.operand)
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return references_time(node.left) or references_time(node.right)
-    if isinstance(node, Pow):
-        return references_time(node.base)
-    return references_time(node.arg)
+    """Whether the expression mentions the time symbol; computed once per node."""
+    timed = node.__dict__.get("_timed")
+    if timed is None:
+        if isinstance(node, Sym):
+            timed = node.name == _TIME_NAME
+        else:
+            timed = any(references_time(child) for child in vars(node).values()
+                        if isinstance(child, Node))
+        object.__setattr__(node, "_timed", timed)
+    return timed

@@ -13,7 +13,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -264,10 +263,14 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     the engine's frames.  Each traced value at every row, and H at every t the run
     steps from (before its unitary), must be Hermitian.
 
-    Row by row the run only takes V_m from the engine's frames or steps the state,
-    and reads H and the traced values that reference t (the others once, at t0).  The
-    rest is computed on the stacks of chunks of ``CHUNK_BYTES // (16 d^2)`` steps by
-    the kernels of one row at a time: the outputs are byte-identical for any chunk length.
+    The grid is walked in chunks of ``CHUNK_BYTES // (16 d^2)`` steps.  Per chunk, H
+    at the times the steps start from and the traced values that reference t (the
+    others are read once, at t0) are read as stacks, and the engine certifies the
+    chunk's step unitaries as one stack.  Row by row the run then only takes V_m from
+    the engine's frames or steps the state; the rest is computed on the chunk's
+    stacks by the kernels of one row at a time.  A read or a unitary that fails is
+    read again one row at a time, so the first failure in row order is the one
+    reported.  The outputs are byte-identical for any chunk length.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
@@ -285,32 +288,64 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     rows: list[list[float]] = []
     energy_series: list[float] = []
     pure = isinstance(initial, StateVector)
+    heisenberg = config.picture == "heisenberg"
+    d, last, tau, times = engine.dim, engine.grid.steps, engine.grid.tau, engine.grid.times()
+    size = min(last, max(1, CHUNK_BYTES // (16 * d ** 2)))
+    # a chunk's frames, states and unnormalized U^dagger psi; its last row starts the next
+    frames = engine.heisenberg_frames() if heisenberg else None
+    vs = np.empty((size + 1, d, d), dtype=complex) if heisenberg else None
+    states = np.empty((size + 1,) + ((d,) if pure else (d, d)), dtype=complex)
+    states[:] = initial.amplitudes if pure else initial.matrix.entries
+    aheads = np.empty((size, d), dtype=complex) if pure and not heisenberg else None
 
-    def emit(chunk: list, final: bool) -> None:
-        """The rows of a chunk's reads but the last, which starts the next chunk."""
-        ts, vs, hs, reads, states, aheads = zip(*chunk)
-        k, tau, states, by_field = len(chunk) - 1, engine.grid.tau, np.array(states), zip(*reads)
-        values = [np.array(next(by_field)) if on else x for on, x in zip(timed, fixed)]
-        h = np.array(hs[:k]) if ham.time_dependent else hs[0]
-        if vs[0] is not None:
-            vs = np.array(vs)
-            values = [vs @ o @ vs.conj().transpose(0, 2, 1) for o in values]
+    # row 0: H, then each field in order; a field that does not reference t keeps this value
+    h0 = _observable(ham, ham.expr, float(times[0]), "config.hamiltonian").entries
+    fixed = [_observable(ham, node, float(times[0]), path).entries for path, node in fields]
+
+    def read(m0: int, ts: list[float]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """H at the rows ``ts`` that start a step and the fields that reference t at
+        every row, gated, then the unitaries of the steps from all rows but the last."""
+        step_times = ts[:last - m0]
+        try:
+            h = (_stack(ham, ham.expr, step_times, "config.hamiltonian")[:len(ts) - 1]
+                 if ham.time_dependent else h0)
+            values = [_stack(ham, node, ts, path) if on else value
+                      for (path, node), on, value in zip(fields, timed, fixed)]
+            engine.step_unitaries(ts[:-1])
+        except (AlgebraError, ArithmeticError, Warning):
+            for m, t in enumerate(ts):  # one row at a time: the first failure in row order
+                if m < len(step_times):
+                    _observable(ham, ham.expr, t, "config.hamiltonian")
+                for (path, node), on in zip(fields, timed):
+                    if on:
+                        _observable(ham, node, t, path)
+                if m < len(ts) - 1:
+                    engine.unitary(t)
+            raise
+        return h, values
+
+    def emit(ts: list[float], h: np.ndarray, values: list[np.ndarray], final: bool) -> None:
+        """The rows of a chunk but the last, which starts the next chunk."""
+        k = len(ts) - 1
+        chunk = states[:k + 1]
+        if heisenberg:
+            v = vs[:k + 1]
+            values = [v @ o @ v.conj().transpose(0, 2, 1) for o in values]
             residual = np.max([np.zeros(k)] + [  # residuals are >= 0: a 0 for no traced O
-                heisenberg_step_residual(engine, node, ts[:k], tau, vs[:k], h, o[:k], o[1:])
+                heisenberg_step_residual(engine, node, ts[:k], tau, v[:k], h, o[:k], o[1:])
                 for (_, node), o in zip(fields, values[:len(traced)])], axis=0)
         elif pure:
-            residual = schrodinger_step_residual(engine, states[:k], ts[:k], tau,
-                                                 np.array(aheads[:k]), h)
+            residual = schrodinger_step_residual(engine, chunk[:k], ts[:k], tau, aheads[:k], h)
         else:
-            residual = von_neumann_step_residual(engine, states[:k], states[1:], ts[:k], tau, h)
+            residual = von_neumann_step_residual(engine, chunk[:k], chunk[1:], ts[:k], tau, h)
         if pure:
-            means = [np.matmul(states.conj()[:, None], np.matmul(o, states[..., None]))[:, 0, 0]
+            means = [np.matmul(chunk.conj()[:, None], np.matmul(o, chunk[..., None]))[:, 0, 0]
                      for o in values]
-            drift = np.abs(vecnorm(states[1:]) - 1.0)
+            drift = np.abs(vecnorm(chunk[1:]) - 1.0)
         else:
-            flat = states.reshape(k + 1, -1)
+            flat = chunk.reshape(k + 1, -1)
             means = [np.vecdot(flat, o.reshape(*o.shape[:-2], -1)) for o in values]
-            drift = np.abs(np.trace(states[1:], axis1=1, axis2=2).real - 1.0)
+            drift = np.abs(np.trace(chunk[1:], axis1=1, axis2=2).real - 1.0)
         if final:  # the last row takes no step
             residual, drift = np.append(residual, 0.0), np.append(drift, drift[-1])
         columns = [m.real[:k + final].tolist() for m in means]
@@ -319,31 +354,37 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
                                   *columns[:len(traced)], residual.tolist(), drift.tolist())))
 
     state = initial.amplitudes if pure else initial
-    frames = (engine.heisenberg_frames() if config.picture == "heisenberg"
-              else zip(engine.grid.times().tolist(), repeat(None)))
-    last, size = engine.grid.steps, max(1, CHUNK_BYTES // (16 * engine.dim ** 2))
-    chunk: list = []  # per row: t, V_m, H(t), timed values, state, unnormalized U^dagger psi
-    for step, (t, v) in enumerate(frames):
-        h_t = _observable(ham, ham.expr, t, "config.hamiltonian").entries if step < last else None
-        read = [_observable(ham, node, t, path).entries
-                for (path, node), on in zip(fields, timed) if on or not step]
-        if not step:  # a node that does not reference t keeps its value
-            fixed, read = read, [value for value, on in zip(read, timed) if on]
-        ahead, stepped = None, state
-        if v is None and step < last:
-            if pure:
-                ahead = engine.unitary(t).entries.conj().T @ state
-                stepped = unit_amplitudes(ahead)
+    if heisenberg:
+        vs[0] = next(frames)[1]
+    for m0 in range(0, last, size):
+        ts = times[m0:m0 + size + 1].tolist()
+        h, values = read(m0, ts)
+        for j, t in enumerate(ts[:-1]):
+            if heisenberg:
+                vs[j + 1] = next(frames)[1]
+            elif pure:
+                aheads[j] = ahead = engine.unitary(t).entries.conj().T @ state
+                states[j + 1] = state = unit_amplitudes(ahead)
             else:
-                stepped = von_neumann_step(engine, state, t)
-        chunk.append((t, v, h_t, read, state if pure else state.matrix.entries, ahead))
-        state = stepped
-        if len(chunk) > size or step == last:
-            emit(chunk, step == last)
-            chunk = chunk[-1:]
+                state = von_neumann_step(engine, state, t)
+                states[j + 1] = state.matrix.entries
+        emit(ts, h, values, m0 + size >= last)
+        for chunk_array in (vs, states):
+            if chunk_array is not None:
+                chunk_array[0] = chunk_array[len(ts) - 1]
 
     checks = _scenario_checks(config, engine, initial, energy_series)
     return ScenarioResult(config, header, rows, checks)
+
+
+def _stack(ham: Hamiltonian, node: ObservableExpr, times: list[float], path: str) -> np.ndarray:
+    """``node`` at each of ``times`` from H's memo, as a stack whose every row is
+    Hermitian; a failure is reported by reading the rows one at a time."""
+    stack, hermitian = ham.values(node, times)
+    if not hermitian.all():
+        raise SchemaError(path, f"not a finite Hermitian matrix at "
+                                f"t = {times[int(np.argmin(hermitian))]!r}")
+    return stack
 
 
 def _value(ham: Hamiltonian, node: ObservableExpr, t: float, path: str) -> PseudoObservable:

@@ -28,9 +28,11 @@ from .core import (
     PseudoObservable,
     _check_orthonormal,
     _check_same_dim,
+    _cluster_sizes,
     _clusters,
     _conjugate,
     _frozen,
+    _per_column,
     _spectral_apply,
     _spectral_frame,
     as_observable,
@@ -43,24 +45,29 @@ from .core import (
 from .report import CheckReport
 
 
-def unitary_defect(w: PseudoObservable) -> float:
+def unitary_defect(w):
     """||W^dagger W - 1||, zero for unitaries; the spectral norm, for reports.
 
-    Gates judge the same residual in the Frobenius norm instead (see
-    ``Transformation``).
+    ``w`` is an element, or a stack of entries with one defect per matrix.  Gates
+    judge the same residual in the Frobenius norm instead (see ``Transformation``).
     """
-    return opnorm(w.entries.conj().T @ w.entries - np.eye(w.dim))
+    e = getattr(w, "entries", w)
+    return opnorm(e.conj().swapaxes(-1, -2) @ e - np.eye(e.shape[-1]))
 
 
-def unitary_exponential(g: PseudoObservable) -> PseudoObservable:
+def unitary_exponential(g):
     """e^{iG} = cos(G) + i sin(G), evaluated by spectral calculus.
 
     One pass of the spectral kernel, then ``V diag(e^{i g_j}) V^dagger``.
     The result is always a plain element: no Hermiticity probe is spent on
-    a unitary.  An Observable argument is not validated again.
+    a unitary.  An Observable argument is not validated again.  A stack of
+    entries along a leading axis, certified Hermitian by the caller, gives
+    the stack of their exponentials, each certified as one element's is.
     """
-    frame, means, mults = _spectral_frame(g)
-    return PseudoObservable(_spectral_apply(frame, np.exp(1j * means), mults))
+    stacked = isinstance(g, np.ndarray)
+    frame, columns, starts = _spectral_frame(g if stacked else as_observable(g).entries)
+    u = _spectral_apply(frame, _per_column(np.exp(1j * columns[starts]), starts))
+    return u if stacked else PseudoObservable._view(_frozen(u))
 
 
 def _fold_phase(theta: float) -> float:
@@ -97,9 +104,8 @@ def _cayley_eigen(e: np.ndarray) -> tuple[list[float], np.ndarray]:
     x -= x.conj().T
     x *= 0.5j  # the Hermitian part of C = iX
     tangents, frame = np.linalg.eigh(x)
-    means, mults = _clusters(2 * np.arctan(tangents), GROUPING_TOL)
-    labels = [_fold_phase(phi + mean) for mean in means]
-    return np.repeat(labels, mults).tolist(), _frozen(frame)
+    columns, _ = _clusters(2 * np.arctan(tangents), GROUPING_TOL)
+    return [_fold_phase(phi + mean) for mean in columns], _frozen(frame)
 
 
 class Transformation:
@@ -172,9 +178,11 @@ def from_generatrix(g: PseudoObservable) -> Transformation:
     Spectrum outside the principal branch is folded into (-pi, pi]; the
     induced unitary is unchanged by the fold.
     """
-    frame, means, mults = _spectral_frame(g)
-    w = _spectral_apply(frame, np.exp(1j * means), mults)
-    basis = ProjectorBasis._over_frame(frame, mults, [_fold_phase(lam) for lam in means])
+    frame, columns, starts = _spectral_frame(as_observable(g).entries)
+    means = columns[starts]
+    w = _spectral_apply(frame, _per_column(np.exp(1j * means), starts))
+    basis = ProjectorBasis._over_frame(frame, _cluster_sizes(starts),
+                                       [_fold_phase(lam) for lam in means])
     return Transformation(PseudoObservable(w), basis)
 
 

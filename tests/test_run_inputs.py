@@ -278,16 +278,32 @@ def test_explicitly_time_dependent_observable_is_read_at_grid_times(monkeypatch)
     assert sorted(times["heisenberg"]) == sorted(times["schrodinger"])
 
 
-def test_traced_driven_hamiltonian_is_evaluated_once_per_grid_time(monkeypatch):
+def test_traced_driven_hamiltonian_is_evaluated_once_per_distinct_time(monkeypatch):
+    # each grid time once, in one chunk or in many: the trajectory reads H(t0) once,
+    # keeps it in H's memo beside the chunk it reads, and the run-level checks reuse it
+    from obsalg import evolution, scenarios
+
     doc = bundled_doc("rabi")
     doc["hamiltonian"] = "(omega/2)*cos(nu*t)*SX + (delta/2)*SZ"
     doc["constants"] = {"omega": 1.0, "delta": 0.5, "nu": 1.3}
     doc["grid"] = {"tau": 0.01, "steps": 100}
     doc["observables_to_trace"] = {"sz": "SZ", "energy": doc["hamiltonian"]}
-    times = _evaluations(monkeypatch, doc, "energy")
-    grid = config_from_doc(doc).grid
-    t0, *later = grid.times().tolist()
-    for picture, seen in times.items():
-        # each grid time once in the trajectory; the run-level checks read
-        # H(t0) once more, after the trajectory has moved the memo on
-        assert sorted(seen) == [t0, t0, *later], picture
+    seen = []
+    real = evolution.evaluate
+
+    def counting(node, ctx):
+        seen.extend((node, t) for t in (ctx.t if isinstance(ctx.t, tuple) else (ctx.t,)))
+        return real(node, ctx)
+
+    monkeypatch.setattr(evolution, "evaluate", counting)
+    grid_times = config_from_doc(doc).grid.times().tolist()
+    for chunk_bytes in (scenarios.CHUNK_BYTES, 16 * 2 ** 2 * 7):  # one chunk; chunks of 7 steps
+        monkeypatch.setattr(scenarios, "CHUNK_BYTES", chunk_bytes)
+        for picture in ("heisenberg", "schrodinger"):
+            seen.clear()
+            config = config_from_doc({**doc, "picture": picture})
+            assert run_scenario(config).all_pass
+            assert len(seen) == len(set(seen)), (picture, chunk_bytes)
+            # H, traced as the energy, is read at the end time too; SZ once, at t0
+            assert sorted(t for node, t in seen if node == config.hamiltonian) == grid_times
+            assert [t for node, t in seen if node != config.hamiltonian] == grid_times[:1]
