@@ -111,12 +111,12 @@ class Hamiltonian:
     """An observable-valued expression for H, and the memo of expression values.
 
     Every expression evaluated in H's context (H itself, traced observables)
-    goes through :meth:`values`, or :meth:`value` for one time.  The context
-    evaluates a subtree that does not reference ``t`` once per run.  A node
-    that references ``t`` keeps its latest read of several times (one
-    trajectory chunk, stacked) and its latest read of one time outside it, so
-    memory stays flat in the step count; a read reuses the rows those hold
-    and evaluates the other times as one stack.  Each row is flagged
+    goes through :meth:`values` (a trajectory chunk, stacked) or :meth:`value`
+    (one time).  The context evaluates a subtree that does not reference ``t``
+    once per run.  A node that references ``t`` keeps its latest read of each
+    kind, so memory stays flat in the step count, and a read reuses the rows
+    those hold and evaluates the other times as one stack: the single read of
+    H(t0) outlives the chunks, for the run-level checks.  Each row is flagged
     Hermitian or not when it is evaluated, and H is validated Hermitian when
     it is read.
     """
@@ -138,9 +138,20 @@ class Hamiltonian:
         return self.ctx.dim
 
     def values(self, node: ObservableExpr, times) -> tuple[np.ndarray, np.ndarray]:
-        """``node`` at each of ``times``: a read-only (k, d, d) stack of entries and,
-        per row, whether it is Hermitian.  A node that does not reference t has one row."""
-        times = tuple(float(t) for t in times)
+        """``node`` at each of ``times``, kept as the node's chunk: a read-only (k, d, d)
+        stack of entries and, per row, whether it is Hermitian.  A node that does not
+        reference t has one row."""
+        return self._read(node, tuple(float(t) for t in times), self._chunks)
+
+    def value(self, node: ObservableExpr, t: float) -> PseudoObservable:
+        """``node`` at time t, kept as the node's single read: an Observable exactly
+        when it is Hermitian."""
+        stack, hermitian = self._read(node, (float(t),), self._singles)
+        return (Observable if hermitian[0] else PseudoObservable)._view(stack[0])
+
+    def _read(self, node: ObservableExpr, times: tuple[float, ...],
+              slot: dict[ObservableExpr, _Read]) -> tuple[np.ndarray, np.ndarray]:
+        """``node`` at ``times`` from the reads held, evaluating the rest; kept in ``slot``."""
         if not references_time(node):  # one value, read once per run
             read = self._singles.get(node)
             if read is None:
@@ -164,19 +175,13 @@ class Hamiltonian:
                     node, tuple(times[j] for j in missing))
         else:
             stack, hermitian = self._evaluate(node, times)
-        read = _Read(times, stack, hermitian)
-        (self._singles if len(times) == 1 else self._chunks)[node] = read
+        read = slot[node] = _Read(times, stack, hermitian)
         return read.stack, read.hermitian
 
     def _evaluate(self, node: ObservableExpr, times: tuple[float, ...]):
         """``node`` at ``times`` as one stack, and whether each row is Hermitian."""
         stack = evaluate(node, self.ctx.with_t(times))
         return stack, hermiticity_defect(stack) <= TOL_HERM
-
-    def value(self, node: ObservableExpr, t: float) -> PseudoObservable:
-        """``node`` at time t, an Observable exactly when it is Hermitian."""
-        stack, hermitian = self.values(node, (t,))
-        return (Observable if hermitian[0] else PseudoObservable)._view(stack[0])
 
     def evaluate(self, t: float) -> Observable:
         """H(t), validated Hermitian."""

@@ -297,7 +297,8 @@ def test_traced_driven_hamiltonian_is_evaluated_once_per_distinct_time(monkeypat
 
     monkeypatch.setattr(evolution, "evaluate", counting)
     grid_times = config_from_doc(doc).grid.times().tolist()
-    for chunk_bytes in (scenarios.CHUNK_BYTES, 16 * 2 ** 2 * 7):  # one chunk; chunks of 7 steps
+    # one chunk; chunks of 9 steps, the last of which takes one step from one H(t)
+    for chunk_bytes in (scenarios.CHUNK_BYTES, 16 * 2 ** 2 * 9):
         monkeypatch.setattr(scenarios, "CHUNK_BYTES", chunk_bytes)
         for picture in ("heisenberg", "schrodinger"):
             seen.clear()
