@@ -336,6 +336,13 @@ def is_compatible(a: PseudoObservable, b: PseudoObservable) -> bool:
 # projector and dyad bases
 # ---------------------------------------------------------------------------
 
+def _minus_identity(x: np.ndarray) -> np.ndarray:
+    """``x - 1`` in place, per matrix of a stack: the values of ``x - np.eye(d)``."""
+    diagonal = range(x.shape[-1])
+    x[..., diagonal, diagonal] -= 1
+    return x
+
+
 def _frobenius(x: np.ndarray):
     """``np.linalg.norm`` of a matrix, or of each matrix of a stack."""
     return vecnorm(x.reshape(*x.shape[:-2], -1))
@@ -348,7 +355,7 @@ def _check_orthonormal(frame: np.ndarray,
     Frobenius, so at most sqrt(d) stricter than the spectral-norm gate; a
     non-finite entry fails it.
     """
-    gram = _frobenius(frame.conj().swapaxes(-1, -2) @ frame - np.eye(frame.shape[-1]))
+    gram = _frobenius(_minus_identity(frame.conj().swapaxes(-1, -2) @ frame))
     _gate(gram, TOL_RECON, lambda value: f"{failure}: Frobenius residual {value:.3e}")
 
 
@@ -570,8 +577,10 @@ def _spectral_frame(entries: np.ndarray):
     scale = np.maximum(1.0, radius)
     _check_orthonormal(v)
     # scaled before the norm, so its sum of squares cannot overflow for a large radius
-    scaled = (_spectral_apply(v, columns) - entries) / np.asarray(scale)[..., None, None]
-    recon = _frobenius(scaled)
+    residual = _spectral_apply(v, columns)
+    residual -= entries
+    residual /= np.asarray(scale)[..., None, None]
+    recon = _frobenius(residual)
     _gate(recon, TOL_RECON, lambda value: f"spectral reconstruction Frobenius residual "
                                           f"{value:.3e} relative to max(1, radius)")
     return _frozen(v), columns, starts

@@ -32,6 +32,7 @@ from .core import (
     _clusters,
     _conjugate,
     _frozen,
+    _minus_identity,
     _per_column,
     _spectral_apply,
     _spectral_frame,
@@ -52,7 +53,7 @@ def unitary_defect(w):
     judge the same residual in the Frobenius norm instead (see ``Transformation``).
     """
     e = getattr(w, "entries", w)
-    return opnorm(e.conj().swapaxes(-1, -2) @ e - np.eye(e.shape[-1]))
+    return opnorm(_minus_identity(e.conj().swapaxes(-1, -2) @ e))
 
 
 def unitary_exponential(g):
