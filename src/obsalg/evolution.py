@@ -129,7 +129,7 @@ class Hamiltonian:
         if not self.hbar > 0:
             raise AlgebraError(f"hbar must be positive, got {hbar}")
         self.time_dependent = references_time(self.expr)
-        # node -> its latest read: of several times, and of one time outside those
+        # node -> its latest read through values (a chunk) and through value (one time)
         self._chunks: dict[ObservableExpr, _Read] = {}
         self._singles: dict[ObservableExpr, _Read] = {}
 
