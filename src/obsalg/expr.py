@@ -442,6 +442,7 @@ def _eval_fixed(node: Node, ctx: EvalContext):
 
 
 def _scalars(value) -> bool:
+    """Whether a value is a scalar, or a scalar per time, rather than matrices."""
     return not isinstance(value, np.ndarray)
 
 
