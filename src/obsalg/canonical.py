@@ -32,7 +32,10 @@ from .core import (
     Observable,
     ProjectorBasis,
     PseudoObservable,
+    _frobenius,
     _frozen,
+    _gate,
+    _minus_identity,
     opnorm,
 )
 from .report import CheckReport
@@ -102,11 +105,25 @@ def _coordinate(n: int, epsilon: float, frame: np.ndarray) -> LinearSpectrumObse
     return LinearSpectrumObservable(n, epsilon, basis)
 
 
+MAX_LEVELS = 2048  # the largest n, so d = 2n <= 4096; derived in make_position
+
+
 def make_position(n: int, epsilon: float) -> LinearSpectrumObservable:
-    """diag(-n eps, ..., (n-1) eps) in the coordinate basis."""
+    """diag(-n eps, ..., (n-1) eps) in the coordinate basis, for 2 <= n <= MAX_LEVELS.
+
+    The bound is the memory of the d x d complex arrays, 16 d^2 bytes each, that a
+    canonical pair and a run on it hold at once.  The pair keeps five: Q's and P's
+    frames and entries, and S.  Its construction, its checks and a trajectory chunk
+    (one step per chunk from d = 64 on) add temporaries: at d = 512 the tracemalloc
+    peak is 9 arrays in the Weyl sweep and at most 18 in a bundled scenario, either
+    picture.  Budgeting 32 arrays in 8 GiB gives 16 * 32 * d^2 <= 2^33, so d <= 4096
+    and n <= 2048.  A larger n is rejected before anything is allocated.
+    """
     n = int(n)
     if n < 2:
         raise AlgebraError(f"need n >= 2, got {n}")
+    if n > MAX_LEVELS:
+        raise AlgebraError(f"need n <= {MAX_LEVELS}, the memory bound, got {n}")
     return _coordinate(n, float(epsilon), np.eye(2 * n, dtype=complex))
 
 
@@ -182,12 +199,12 @@ def make_canonical_pair(q: LinearSpectrumObservable, hbar: float = 1.0) -> Canon
     momentum = _coordinate(n, math.pi * hbar / (n * eps), frame @ _fourier_matrix(n))
     s = PseudoObservable(frame @ _shift_matrix(d) @ frame.conj().T)
     pair = CanonicalPair(q, s, momentum, hbar)
-    consistency = pair.exponential_consistency()
-    if not consistency <= TOL_RECON:
-        raise AlgebraError(f"exp(i eps P / hbar) != S: residual {consistency:.3e}")
-    cyclic = opnorm(np.linalg.matrix_power(s.entries, d) - np.eye(d))
-    if not cyclic <= TOL_RECON:
-        raise AlgebraError(f"S^(2n) != 1: residual {cyclic:.3e}")
+    # Frobenius, like every other gate: at most sqrt(d) stricter than the spectral
+    # norm, no SVD, and a non-finite entry fails it
+    _gate(_frobenius(pair._momentum_exponential().entries - s.entries), TOL_RECON,
+          lambda value: f"exp(i eps P / hbar) != S: Frobenius residual {value:.3e}")
+    _gate(_frobenius(_minus_identity(np.linalg.matrix_power(s.entries, d))), TOL_RECON,
+          lambda value: f"S^(2n) != 1: Frobenius residual {value:.3e}")
     return pair
 
 
@@ -287,6 +304,20 @@ def _interior_probe_deviation(pair: CanonicalPair, comm_over_ihbar: np.ndarray) 
     return worst
 
 
+def _commutator(pair: CanonicalPair) -> tuple[np.ndarray, float, float, float]:
+    """[Q,P]/(i hbar), |tr [Q,P]|, its scale ||Q|| ||P|| and the interior probe deviation.
+
+    ||Q|| and ||P|| are the magnitudes of the edge labels.
+    """
+    q, p, hbar = pair.q.observable, pair.p, pair.hbar
+    comm = q.entries @ p.entries - p.entries @ q.entries
+    comm_over_ihbar = comm / (1j * hbar)
+    trace_residual = abs(complex(np.trace(comm)))
+    trace_scale = abs(pair.q.spectrum[0]) * abs(pair.momentum_spectrum[0])
+    return (comm_over_ihbar, trace_residual, trace_scale,
+            _interior_probe_deviation(pair, comm_over_ihbar))
+
+
 def weyl_residual(pair: CanonicalPair) -> CheckReport:
     """Quantify the finite-dimension obstruction tr [Q,P] = 0 vs tr 1 = 2n.
 
@@ -294,14 +325,9 @@ def weyl_residual(pair: CanonicalPair) -> CheckReport:
     [Q,P]/(i hbar) (identically zero, reported for honesty), and the
     interior-band deviation from one measured on Gaussian probes.
     """
-    q, p, hbar = pair.q.observable, pair.p, pair.hbar
-    comm = q.entries @ p.entries - p.entries @ q.entries
-    comm_over_ihbar = comm / (1j * hbar)
-    trace_residual = abs(complex(np.trace(comm)))
-    trace_scale = abs(pair.q.spectrum[0]) * abs(pair.momentum_spectrum[0])  # ||Q|| ||P||
+    comm_over_ihbar, trace_residual, trace_scale, interior = _commutator(pair)
     frame = pair.q.basis.frame
     diagonal = np.real(np.diag(frame.conj().T @ comm_over_ihbar @ frame))
-    interior = _interior_probe_deviation(pair, comm_over_ihbar)
     return CheckReport(
         name="weyl_residual",
         passed=trace_residual <= 1e-9 * trace_scale,
@@ -320,16 +346,28 @@ def weyl_residual(pair: CanonicalPair) -> CheckReport:
     )
 
 
+def _flip_defect(fixed: LinearSpectrumObservable,
+                 flipped: LinearSpectrumObservable) -> np.ndarray:
+    """conj(B) + B for B = ``flipped``, the conjugation taken entrywise in ``fixed``'s frame."""
+    b = flipped.observable.entries
+    return frame_conjugate(b, fixed.basis.frame) + b
+
+
+def _edge_defect_weight(pair: CanonicalPair, defect: np.ndarray) -> float:
+    """Trace norm of the momentum's flip defect relative to ||P||_1 = sum_k |p_k|."""
+    return (float(np.sum(np.abs(np.linalg.eigvalsh(defect))))
+            / float(np.sum(np.abs(pair.momentum_spectrum))))
+
+
 def _reversal_parity(fixed: LinearSpectrumObservable, flipped: LinearSpectrumObservable):
     """Entrywise conjugation in ``fixed``'s frame, the time reversal of a pair (A, B).
 
     Returns ``||conj(A) - A||``, the flip defect ``conj(B) + B``, its norm,
     and its distance from B's unpaired edge mode ``2 b_0 I_0``.
     """
-    frame = fixed.basis.frame
-    a, b = fixed.observable.entries, flipped.observable.entries
-    fixed_defect = opnorm(frame_conjugate(a, frame) - a)
-    defect = frame_conjugate(b, frame) + b
+    a = fixed.observable.entries
+    fixed_defect = opnorm(frame_conjugate(a, fixed.basis.frame) - a)
+    defect = _flip_defect(fixed, flipped)
     edge_mode = flipped.basis[0].entries
     return (fixed_defect, defect, opnorm(defect),
             opnorm(defect - 2 * flipped.spectrum[0] * edge_mode))
@@ -346,8 +384,6 @@ def conjugation_parity_check(pair: CanonicalPair) -> CheckReport:
     coordinate_defect, defect, defect_norm, rank_one_residual = _reversal_parity(
         pair.q, pair.momentum)
     expected_norm = 2 * math.pi * pair.hbar / pair.epsilon
-    trace_weight = (float(np.sum(np.abs(np.linalg.eigvalsh(defect))))
-                    / float(np.sum(np.abs(pair.momentum_spectrum))))
     scale = max(1.0, abs(pair.momentum_spectrum[0]))
     passed = (coordinate_defect <= 1e-12 * max(1.0, abs(pair.q.spectrum[0]))
               and abs(defect_norm - expected_norm) <= TOL_RECON * scale
@@ -359,7 +395,7 @@ def conjugation_parity_check(pair: CanonicalPair) -> CheckReport:
             "coordinate_defect": coordinate_defect,
             "defect_norm_error": abs(defect_norm - expected_norm),
             "rank_one_residual": rank_one_residual,
-            "edge_defect_weight": trace_weight,
+            "edge_defect_weight": _edge_defect_weight(pair, defect),
         },
         details={"defect_norm": defect_norm, "expected_defect_norm": expected_norm},
     )
@@ -385,20 +421,22 @@ def commutator_limit_probe(n_list: Sequence[int]) -> tuple[SweepRow, ...]:
     """Weyl metrics across level counts, rows sorted by n, at hbar = 1.
 
     The rule epsilon = 1/sqrt(n) drives both required limits at once: the
-    resolution shrinks while the coordinate window n*epsilon grows.
+    resolution shrinks while the coordinate window n*epsilon grows.  Each row
+    takes its values from the helpers that :func:`weyl_residual` and
+    :func:`conjugation_parity_check` report from, and computes nothing else.
     """
-    rows = []
-    for n in sorted(int(x) for x in n_list):
-        eps = 1.0 / math.sqrt(n)
-        pair = make_canonical_pair(make_position(n, eps))
-        report = weyl_residual(pair)
-        parity = conjugation_parity_check(pair)
-        rows.append(SweepRow(
-            n=n,
-            epsilon=eps,
-            trace_residual=(report.residuals["trace_residual"]
-                            / report.details["trace_scale"]),
-            interior_max_dev=report.residuals["interior_max_dev"],
-            edge_defect_weight=parity.residuals["edge_defect_weight"],
-        ))
-    return tuple(rows)
+    return tuple(_sweep_row(n) for n in sorted(int(x) for x in n_list))
+
+
+def _sweep_row(n: int) -> SweepRow:
+    """One row; its pair and arrays are freed before the next row builds its own."""
+    eps = 1.0 / math.sqrt(n)
+    pair = make_canonical_pair(make_position(n, eps))
+    trace_residual, trace_scale, interior = _commutator(pair)[1:]
+    return SweepRow(
+        n=n,
+        epsilon=eps,
+        trace_residual=trace_residual / trace_scale,
+        interior_max_dev=interior,
+        edge_defect_weight=_edge_defect_weight(pair, _flip_defect(pair.q, pair.momentum)),
+    )

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .audit import run_audit
-from .canonical import commutator_limit_probe
+from .canonical import MAX_LEVELS, commutator_limit_probe
 from .core import AlgebraError
 from .evolution import TimeGrid
 from .scenarios import config_from_doc, run_scenario
@@ -41,16 +41,19 @@ def _resolve_config(ref: str) -> tuple[dict, Path]:
     return load_json(ref), Path(ref).parent
 
 
-def _integers(minimum: int, single: bool = False):
-    """argparse ``type=`` reader: integers >= ``minimum``, comma-separated unless ``single``."""
+def _integers(minimum: int, single: bool = False, maximum: int | None = None):
+    """argparse ``type=`` reader: integers >= ``minimum`` and <= ``maximum`` if given,
+    comma-separated unless ``single``."""
+    bounds = f">= {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+
     def read(text: str):
         try:
             values = [int(item) for item in ([text] if single else text.split(","))]
-            if min(values) >= minimum:
+            if min(values) >= minimum and (maximum is None or max(values) <= maximum):
                 return values[0] if single else values
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected integers >= {minimum}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected integers {bounds}, got {text!r}")
     return read
 
 
@@ -151,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="emit a convergence table as CSV")
     p_sweep.add_argument("kind", choices=["weyl", "convergence"])
-    p_sweep.add_argument("--n-list", type=_integers(2), default="8,16,32,64",
-                         help="comma-separated level counts for the weyl sweep, each >= 2")
+    p_sweep.add_argument("--n-list", type=_integers(2, maximum=MAX_LEVELS),
+                         default="8,16,32,64",
+                         help="comma-separated level counts for the weyl sweep, "
+                              f"each from 2 to {MAX_LEVELS} (the memory bound of a pair)")
     p_sweep.add_argument("--halvings", type=_integers(0, single=True), default=3,
                          help="tau halvings for the convergence sweep, >= 0")
     p_sweep.add_argument("--out", help="output CSV path")

@@ -337,9 +337,12 @@ def is_compatible(a: PseudoObservable, b: PseudoObservable) -> bool:
 # ---------------------------------------------------------------------------
 
 def _minus_identity(x: np.ndarray) -> np.ndarray:
-    """``x - 1`` in place, per matrix of a stack: the values of ``x - np.eye(d)``."""
-    diagonal = range(x.shape[-1])
-    x[..., diagonal, diagonal] -= 1
+    """``x - 1`` in place, per matrix of a stack: the values of ``x - np.eye(d)``.
+
+    The diagonal is written through a strided view, for any memory layout of ``x``.
+    """
+    diagonal = np.einsum("...ii->...i", x)
+    diagonal -= 1
     return x
 
 

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .canonical import make_canonical_pair, make_position
+from .canonical import MAX_LEVELS, make_canonical_pair, make_position
 from .core import AlgebraError, Observable, PseudoObservable, as_observable, vecnorm
 # perfbench's test_traced_call_restores_every_wrapped_name reads scenarios.opnorm
 from .core import opnorm  # noqa: F401
@@ -98,7 +98,7 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
     if (n is None) != (epsilon is None):
         raise SchemaError("config.n", "n and epsilon must be given together")
     if n is not None:
-        n = _integer(n, "config.n", 2)
+        n = _integer(n, "config.n", 2, MAX_LEVELS)  # the memory bound of make_position
         epsilon = _number(epsilon, "config.epsilon", positive=True)
         # the canonical pair's spectra reach n*epsilon (Q) and pi*hbar/epsilon
         # (P), and its shift is exp(i (epsilon/hbar) P)

@@ -44,12 +44,14 @@ def _check_type(value, types, path: str, what: str):
     return value
 
 
-def _integer(value, path: str, minimum: int) -> int:
-    """A JSON integer (never a bool or a float) of at least ``minimum``."""
+def _integer(value, path: str, minimum: int, maximum: int | None = None) -> int:
+    """A JSON integer (never a bool or a float) of at least ``minimum``, at most ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
     if value < minimum:
         raise SchemaError(path, f"must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(path, f"must be at most {maximum}, got {value}")
     return value
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from obsalg import canonical
 from obsalg.canonical import (
     LinearSpectrumObservable,
     commutator_limit_probe,
@@ -292,6 +293,19 @@ def test_commutator_limit_probe_single_row():
     assert len(rows) == 1
 
 
+def test_commutator_limit_probe_rows_are_the_reported_values():
+    # the sweep computes its columns without the reports; bit for bit the same values
+    for row in commutator_limit_probe([8, 16, 32]):
+        pair = make_canonical_pair(make_position(row.n, row.epsilon))
+        weyl = weyl_residual(pair)
+        parity = conjugation_parity_check(pair)
+        assert row.epsilon == 1.0 / math.sqrt(row.n)
+        assert row.trace_residual == (weyl.residuals["trace_residual"]
+                                      / weyl.details["trace_scale"])
+        assert row.interior_max_dev == weyl.residuals["interior_max_dev"]
+        assert row.edge_defect_weight == parity.residuals["edge_defect_weight"]
+
+
 # --- conjugation parity -----------------------------------------------------------------
 
 def test_conjugation_fixes_coordinate_exactly(pair22):
@@ -336,6 +350,33 @@ def test_canonical_pair_passes_the_gates_at_dimension_512():
     assert pair.exponential_consistency() < 1e-12
 
 
+def test_consistency_gate_rejects_a_perturbed_fourier_frame(monkeypatch):
+    # a unitary rotation by 1e-6 between two Fourier columns keeps the frame
+    # orthonormal, so only exp(i eps P / hbar) = S can notice it
+    real = canonical._fourier_matrix
+
+    def perturbed(n):
+        theta = 1e-6
+        rotation = np.eye(2 * n, dtype=complex)
+        rotation[:2, :2] = [[math.cos(theta), -math.sin(theta)],
+                            [math.sin(theta), math.cos(theta)]]
+        return real(n) @ rotation
+
+    monkeypatch.setattr(canonical, "_fourier_matrix", perturbed)
+    with pytest.raises(AlgebraError, match=r"exp\(i eps P / hbar\) != S: Frobenius residual"):
+        make_canonical_pair(make_position(32, 0.25))
+
+
+def test_cyclic_gate_rejects_a_shift_that_is_not_of_order_2n(monkeypatch):
+    # S e^{i phi} passes the consistency gate (Frobenius residual 8 phi at d = 64),
+    # but its 2n-th power is e^{i 2n phi} != 1: Frobenius residual 8 * 64 phi
+    phi = 1e-10
+    real = canonical._shift_matrix
+    monkeypatch.setattr(canonical, "_shift_matrix", lambda dim: real(dim) * np.exp(1j * phi))
+    with pytest.raises(AlgebraError, match=r"S\^\(2n\) != 1: Frobenius residual"):
+        make_canonical_pair(make_position(32, 0.25))
+
+
 def _count_linalg_calls(monkeypatch, names=("eigh", "svd")) -> dict:
     """Count the NumPy ``linalg`` calls made from here on, by function name."""
     calls = dict.fromkeys(names, 0)
@@ -349,13 +390,14 @@ def _count_linalg_calls(monkeypatch, names=("eigh", "svd")) -> dict:
 
 def test_canonical_checks_read_the_stored_frames(monkeypatch):
     # exp(i eps P / hbar) is summed over the momentum basis, and ||Q||, ||P||
-    # are read from the edge labels: no eigh, and an SVD only per reported norm
+    # are read from the edge labels: no eigh; the pair's gates are Frobenius and
+    # the sweep reports no spectral norm, so no SVD either
     calls = _count_linalg_calls(monkeypatch)
     make_canonical_pair(make_position(16, 0.25))
     assert calls["eigh"] == 0
     calls.update(eigh=0, svd=0)
     commutator_limit_probe([32, 64, 128])
-    assert calls == {"eigh": 0, "svd": 15}
+    assert calls == {"eigh": 0, "svd": 0}
 
 
 def test_momentum_exponential_is_the_shift_for_a_rotated_coordinate(rng):

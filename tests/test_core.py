@@ -605,3 +605,27 @@ def test_reconstruction_gate_does_not_overflow_at_a_huge_radius(rng):
     with np.errstate(over="raise"):
         dec = spectral_decompose(a)
     assert len(dec.eigenvalues) == 6
+
+
+def test_minus_identity_is_bitwise_x_minus_eye_for_any_layout(rng):
+    from obsalg.core import _minus_identity
+
+    base = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    base[0, 0, 1] = complex(-0.0, -0.0)  # signed zeros off and on the diagonal
+    base[1, 2, 2] = complex(1.0, -0.0)
+    base[2, 3, 3] = complex(np.nan, np.inf)
+    layouts = {
+        "C-order": base[0].copy(),
+        "transposed": base[1].copy().T,
+        "stacked": base.copy(),
+        "stacked, transposed": base.copy().swapaxes(-1, -2),
+        "strided": base.copy()[::2],
+    }
+    for layout, x in layouts.items():
+        expected = x - np.eye(x.shape[-1])
+        out = _minus_identity(x)
+        assert out is x
+        for part in ("real", "imag"):
+            got, want = getattr(out, part), getattr(expected, part)
+            assert np.array_equal(got, want, equal_nan=True), (layout, part)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (layout, part)

@@ -22,8 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obsalg import expr
+from obsalg import canonical, expr
+from obsalg.canonical import MAX_LEVELS
 from obsalg.cli import BUNDLED, _resolve_config, main
+from obsalg.core import AlgebraError
 from obsalg.scenarios import build_engine, config_from_doc, run_scenario
 
 
@@ -54,14 +56,17 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     (["sweep", "weyl", "--n-list", "-2"], "--n-list"),
     (["sweep", "weyl", "--n-list", "1"], "--n-list"),
     (["sweep", "weyl", "--n-list", ","], "--n-list"),
+    (["sweep", "weyl", "--n-list", str(10 ** 30)], "--n-list"),
+    (["sweep", "weyl", "--n-list", f"8,{MAX_LEVELS + 1}"], "--n-list"),
     (["audit", "--dims", "-4"], "--dims"),
     (["audit", "--dims", "0"], "--dims"),
     (["audit", "--dims", "1"], "--dims"),
     (["audit", "--dims", "4", "--seed", "-1"], "--seed"),
     (["sweep", "convergence", "--halvings", "-1"], "--halvings"),
     (["sweep", "convergence", "--halvings", "1100"], "--halvings"),
-], ids=["n-list-0", "n-list-negative", "n-list-1", "n-list-empty", "dims-negative",
-        "dims-0", "dims-1", "seed-negative", "halvings-negative", "halvings-underflow"])
+], ids=["n-list-0", "n-list-negative", "n-list-1", "n-list-empty", "n-list-1e30",
+        "n-list-past-the-level-bound", "dims-negative", "dims-0", "dims-1", "seed-negative",
+        "halvings-negative", "halvings-underflow"])
 def test_bad_flag_exits_2_naming_the_flag(tmp_path, argv, flag):
     out = tmp_path / "out"
     code, err = run_cli([*argv, "--out", str(out)])
@@ -81,6 +86,31 @@ def test_bad_flag_from_the_console_entry_under_warnings_as_errors(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("validation error: --halvings")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [10 ** 30, MAX_LEVELS + 1], ids=["1e30", "one-past-the-bound"])
+def test_config_n_past_the_memory_bound_exits_2_naming_it(tmp_path, monkeypatch, n):
+    doc = bundled_doc("free_particle")
+    doc["n"] = n
+    path = tmp_path / "huge_n.json"
+    path.write_text(json.dumps(doc))
+    built = []  # coordinates: the first d x d allocation of a pair
+    real = canonical._coordinate
+    monkeypatch.setattr(canonical, "_coordinate", lambda *args: built.append(args) or real(*args))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert err.startswith(f"validation error: config.n: must be at most {MAX_LEVELS}")
+    assert "Traceback" not in err and built == []
+
+
+def test_the_memory_bound_admits_its_own_edge():
+    from obsalg.cli import build_parser
+    sweep = build_parser().parse_args(["sweep", "weyl", "--n-list", f"2,{MAX_LEVELS}"])
+    assert sweep.n_list == [2, MAX_LEVELS]
+    assert config_from_doc({**bundled_doc("free_particle"), "n": MAX_LEVELS}).n == MAX_LEVELS
+    with pytest.raises(AlgebraError, match=f"n <= {MAX_LEVELS}"):
+        canonical.make_position(MAX_LEVELS + 1, 1.0)
 
 
 def test_good_flags_keep_their_defaults_and_lists():
@@ -220,7 +250,7 @@ def test_oscillator_run_takes_one_norm_of_h_t0(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd)
     code, err = run_cli(["run", "oscillator", "--out", str(tmp_path)])
     assert code == 0, err
-    assert (len(of_h0), sum(of_h0)) == (10, 1)
+    assert (len(of_h0), sum(of_h0)) == (8, 1)
 
 
 # --- the explicit-time Heisenberg residual -----------------------------------------------------
