@@ -139,8 +139,19 @@ def reversal_suite(rng, dim: int, steps: int = 100) -> CheckReport:
                        residuals={"round_trip_residual": residual})
 
 
+MAX_DIM = 4096  # the largest dimension an audit takes; derived in run_audit
+
+
 def run_audit(dims: list[int], seed: int, planted_failure: bool = False) -> dict:
-    """All suites across the requested dims; deterministic for a given seed."""
+    """All suites across the requested dims; deterministic for a given seed.
+
+    ``obsalg audit --dims`` takes each d from 2 to MAX_DIM, a bound on the memory of the
+    d x d complex arrays, 16 d^2 bytes each, that a suite holds at once.  Its tracemalloc
+    peak is 10 such arrays in the automorphism suite and at most 9 in the others, at
+    d = 256 and at d = 512 alike.  Budgeting 32 arrays in 8 GiB, as ``make_position``
+    does, gives 16 * 32 * d^2 <= 2^33, so d <= 4096: the Weyl suite's pair, n = d/2,
+    stays within ``MAX_LEVELS``.
+    """
     checks: list[CheckReport] = []
     for dim in dims:
         rng = np.random.default_rng([seed, dim])

@@ -114,7 +114,7 @@ def make_position(n: int, epsilon: float) -> LinearSpectrumObservable:
     The bound is the memory of the d x d complex arrays, 16 d^2 bytes each, that a
     canonical pair and a run on it hold at once.  The pair keeps five: Q's and P's
     frames and entries, and S.  Its construction, its checks and a trajectory chunk
-    (one step per chunk from d = 64 on) add temporaries: at d = 512 the tracemalloc
+    (one step per chunk from d = 128 on) add temporaries: at d = 512 the tracemalloc
     peak is 9 arrays in the Weyl sweep and at most 18 in a bundled scenario, either
     picture.  Budgeting 32 arrays in 8 GiB gives 16 * 32 * d^2 <= 2^33, so d <= 4096
     and n <= 2048.  A larger n is rejected before anything is allocated.

@@ -14,7 +14,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .audit import run_audit
+from .audit import MAX_DIM, run_audit
 from .canonical import MAX_LEVELS, commutator_limit_probe
 from .core import AlgebraError
 from .evolution import TimeGrid
@@ -144,8 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_audit = sub.add_parser("audit", help="run the randomized invariant suites")
-    p_audit.add_argument("--dims", type=_integers(2), default="4,8,16",
-                         help="comma-separated dimensions, each >= 2")
+    p_audit.add_argument("--dims", type=_integers(2, maximum=MAX_DIM), default="4,8,16",
+                         help="comma-separated dimensions, each from 2 to "
+                              f"{MAX_DIM} (the memory bound of the audit)")
     p_audit.add_argument("--seed", type=_integers(0, single=True), default=0, help=">= 0")
     p_audit.add_argument("--out", help="write the JSON report here")
     p_audit.add_argument("--self-test-fail", action="store_true",

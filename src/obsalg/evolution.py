@@ -65,7 +65,7 @@ from .expr import (
 )
 from .report import CheckReport
 from .states import DensityObservable, StateVector
-from .transforms import unitary_defect, unitary_exponential
+from .transforms import _unitary_defects, unitary_exponential
 
 PICTURES = ("heisenberg", "schrodinger")
 REGIME_BOUND = 0.5  # tau*||H||/hbar beyond which difference quotients leave the continuum
@@ -240,9 +240,11 @@ class EvolutionEngine:
 
     def step_unitaries(self, times) -> None:
         """Certify U(t) at the grid step for each of ``times`` as one stack, which the
-        cache then holds; a constant H's U is certified once, when a step asks for it."""
+        cache then holds in place of the previous chunk, dropped first; a constant H's U
+        is certified once, when a step asks for it."""
         if self.hamiltonian.time_dependent and len(times):
             times = tuple(float(t) for t in times)
+            self._chunk, self._chunk_rows = None, {}  # never two chunks alive together
             self._chunk = self._certify(times, self.grid.tau)
             self._chunk_rows = {t: j for j, t in enumerate(times)}
 
@@ -250,7 +252,13 @@ class EvolutionEngine:
         """exp(i (step/hbar) H(t)) for each of ``times``, as one certified read-only stack.
 
         Each matrix is gated as one step's U: H(t) Hermitian, (step/hbar) H(t) finite,
-        the spectral kernel's certificates and ||U^dagger U - 1|| <= TOL_RECON.
+        the spectral kernel's certificates and ||U^dagger U - 1|| <= TOL_RECON.  Up to
+        d = BOUNDED_DEFECT_DIM the defect's SVD is taken only on the rows whose bound on
+        it exceeds the floor it must pass to matter: ``max_grid_defect`` for a grid
+        step, TOL_RECON for any other (:func:`obsalg.transforms._unitary_defects`).  A
+        pruned row's defect is at most that floor, so it neither fails the gate nor
+        moves the reported maximum: the gate's message and ``max_grid_defect`` are those
+        of one SVD per row.
         """
         h, hermitian = self.hamiltonian.values(self.hamiltonian.expr, times)
         if not hermitian.all():  # the first such H(t) raises, as a single read does
@@ -260,9 +268,10 @@ class EvolutionEngine:
         if not np.isfinite(g).all():
             raise AlgebraError("observable entries are not finite")
         u = unitary_exponential(g)
-        defect = unitary_defect(u)
+        grid_step = step == self.grid.tau
+        defect = _unitary_defects(u, self.max_grid_defect if grid_step else TOL_RECON)
         _gate(defect, TOL_RECON, lambda value: f"evolution unitary defect {value:.3e}")
-        if step == self.grid.tau:
+        if grid_step:
             self.max_grid_defect = max(self.max_grid_defect, float(np.max(defect)))
         return _frozen(u)
 

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from obsalg import canonical, expr
+from obsalg.audit import MAX_DIM
 from obsalg.canonical import MAX_LEVELS
 from obsalg.cli import BUNDLED, _resolve_config, main
 from obsalg.core import AlgebraError
@@ -61,12 +62,15 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     (["audit", "--dims", "-4"], "--dims"),
     (["audit", "--dims", "0"], "--dims"),
     (["audit", "--dims", "1"], "--dims"),
+    (["audit", "--dims", f"4,{10 ** 30}"], "--dims"),
+    (["audit", "--dims", str(MAX_DIM + 1)], "--dims"),
     (["audit", "--dims", "4", "--seed", "-1"], "--seed"),
     (["sweep", "convergence", "--halvings", "-1"], "--halvings"),
     (["sweep", "convergence", "--halvings", "1100"], "--halvings"),
 ], ids=["n-list-0", "n-list-negative", "n-list-1", "n-list-empty", "n-list-1e30",
-        "n-list-past-the-level-bound", "dims-negative", "dims-0", "dims-1", "seed-negative",
-        "halvings-negative", "halvings-underflow"])
+        "n-list-past-the-level-bound", "dims-negative", "dims-0", "dims-1", "dims-1e30",
+        "dims-past-the-memory-bound", "seed-negative", "halvings-negative",
+        "halvings-underflow"])
 def test_bad_flag_exits_2_naming_the_flag(tmp_path, argv, flag):
     out = tmp_path / "out"
     code, err = run_cli([*argv, "--out", str(out)])
@@ -111,6 +115,8 @@ def test_the_memory_bound_admits_its_own_edge():
     assert config_from_doc({**bundled_doc("free_particle"), "n": MAX_LEVELS}).n == MAX_LEVELS
     with pytest.raises(AlgebraError, match=f"n <= {MAX_LEVELS}"):
         canonical.make_position(MAX_LEVELS + 1, 1.0)
+    audit = build_parser().parse_args(["audit", "--dims", f"2,{MAX_DIM}"])
+    assert audit.dims == [2, MAX_DIM] and MAX_DIM // 2 <= MAX_LEVELS
 
 
 def test_good_flags_keep_their_defaults_and_lists():
@@ -250,7 +256,7 @@ def test_oscillator_run_takes_one_norm_of_h_t0(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd)
     code, err = run_cli(["run", "oscillator", "--out", str(tmp_path)])
     assert code == 0, err
-    assert (len(of_h0), sum(of_h0)) == (8, 1)
+    assert (len(of_h0), sum(of_h0)) == (7, 1)
 
 
 # --- the explicit-time Heisenberg residual -----------------------------------------------------

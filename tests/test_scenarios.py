@@ -339,3 +339,22 @@ def test_driven_step_pays_one_eigh_and_bounded_certificates(monkeypatch, kind,
     assert per_step["hermiticity_defect"] <= 1
     # the run-level checks add a fixed amount, independent of the step count
     assert totals[0]["eigh"] - 50 == totals[1]["eigh"] - 100 <= 10
+
+
+def test_driven_oscillator_takes_svds_on_few_of_its_steps(monkeypatch):
+    """A step unitary's defect takes its SVD only where the reported maximum can move:
+    a 1000-step d=32 driven run takes SVDs (run-level checks included) of at most 50
+    matrices, where one per step would be 1000."""
+    import numpy as np
+
+    matrices = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        matrices.append(1 if a.ndim == 2 else len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    result = run_scenario(config_from_doc(_driven_doc("oscillator", 1000)))
+    assert result.all_pass
+    assert 0 < sum(matrices) <= 50

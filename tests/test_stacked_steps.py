@@ -3,6 +3,8 @@
 * the stack-aware spectral kernel and the stacked expression evaluator give, row
   by row, the bits of one call per matrix or per time;
 * a gate that fails on a stack names the failing row;
+* a step unitary's defect takes its SVD only where the reported maximum can move,
+  and the maximum and the gate read as if every row took one;
 * an evaluation failure in the middle of a chunk names its field and the first
   failing t, as a row-by-row walk does;
 * ``--out`` is created only once a run succeeds, and a spectral function that
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obsalg import core
+from obsalg import core, transforms
 from obsalg.cli import main
 from obsalg.core import AlgebraError, Observable, PseudoObservable, hermiticity_defect
 from obsalg.evolution import PICTURES, EvolutionEngine, Hamiltonian, TimeGrid
@@ -154,6 +156,150 @@ def test_unitary_defect_gate_names_the_failing_row(rng, monkeypatch):
         engine.step_unitaries(engine.grid.times().tolist()[:-1])
 
 
+# --- defects pruned by their bound ------------------------------------------------------------
+
+def _planting(monkeypatch, sizes: dict[int, float], d: int,
+              rank: int = 1) -> list[np.ndarray]:
+    """Make the engine's exponential give diag(1 + e_j, ..., 1 + e_j, 1, ..., 1), with
+    ``rank`` entries 1 + e_j, on the grid step counted j: ||U^dagger U - 1|| is
+    (1 + e_j)^2 - 1, rounded once, and its bound is tightest at rank one (and 2^(1/8)
+    times the defect at rank two).  Returns the list that records every U certified."""
+    from obsalg import evolution
+
+    real = evolution.unitary_exponential
+    certified: list[np.ndarray] = []
+
+    def planted(g):
+        u = real(g).copy()
+        for j in range(len(u)):
+            size = sizes.get(len(certified) + j)
+            if size is not None:
+                u[j] = np.diag([1 + size] * rank + [1.0] * (d - rank))
+        certified.extend(u)
+        return u
+
+    monkeypatch.setattr(evolution, "unitary_exponential", planted)
+    return certified
+
+
+def _driven_engine(rng, d: int, steps: int, hamiltonian: str = "A + cos(t)*B"):
+    a, b = hermitian_stack(rng, d, 2)
+    ctx = EvalContext(dim=d, operators={"A": a, "B": b})
+    return EvolutionEngine(Hamiltonian(hamiltonian, ctx), TimeGrid(0.05, steps))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 4, 32])
+@pytest.mark.parametrize("planted", ["none", "rank_one"])
+@pytest.mark.parametrize("walk", ["chunk", "row_by_row"])
+def test_pruned_defects_report_the_largest_defect_bit_for_bit(rng, monkeypatch, d, planted,
+                                                              walk):
+    steps = 40
+    sizes = {}
+    if planted == "rank_one":  # rising and falling: some rows raise the maximum, some not
+        sizes = {j: 2.5e-11 * (1 + 0.01 * (j % 7) + 0.001 * j) for j in range(3, steps, 2)}
+    engine = _driven_engine(rng, d, steps)
+    certified = _planting(monkeypatch, sizes, d)
+    times = engine.grid.times().tolist()[:-1]
+    if walk == "chunk":
+        engine.step_unitaries(times)
+    for t in times:
+        engine.unitary(t)
+    assert len(certified) == steps
+    exact = unitary_defect(np.array(certified))
+    assert engine.max_grid_defect == float(np.max(exact))
+    if planted == "rank_one":
+        assert engine.max_grid_defect > 5e-11
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 4, 32])
+def test_defect_bound_is_above_the_defect_and_tightest_at_rank_one(rng, d):
+    """Below the floor every row keeps its bound, which is never below its defect, and
+    at rank one it is within 1e-7 of it: the margin of 1e-8 is what keeps it above."""
+    x = random_unitary(rng, d).entries[:, :1]
+    sizes = np.logspace(-13, -10, 12)
+    rank_one = np.array([np.eye(d) + s * (x @ x.conj().T) for s in sizes]
+                        + [np.diag([1 + s] + [1.0] * (d - 1)) for s in sizes])
+    exponentials = unitary_exponential(0.3 * hermitian_stack(rng, d))
+    for u in (rank_one, exponentials):
+        bounds = transforms._unitary_defects(u, core.TOL_RECON)
+        defects = unitary_defect(u)
+        assert np.all(bounds >= defects) and np.all(bounds <= core.TOL_RECON)
+    assert np.all(transforms._unitary_defects(rank_one, core.TOL_RECON)
+                  <= (1 + 1e-7) * unitary_defect(rank_one))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_bound_that_underflows_takes_its_svd():
+    """||A|| = 1e-45: the eighth powers in the bound underflow to 0, below any floor."""
+    u = np.eye(4, dtype=complex)[None].repeat(2, axis=0)
+    u[1, 0, 1] = 1e-45
+    defects = transforms._unitary_defects(u, 0.0)
+    assert same_bits(defects, unitary_defect(u)) and defects[1] > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_beyond_the_bounded_dimension_every_defect_takes_its_svd(rng):
+    d = transforms.BOUNDED_DEFECT_DIM + 2
+    u = unitary_exponential(0.3 * hermitian_stack(rng, d, 2))
+    assert same_bits(transforms._unitary_defects(u, core.TOL_RECON), unitary_defect(u))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 4, 32])
+def test_a_constant_hamiltonian_reports_its_defect_bit_for_bit(rng, d):
+    engine = _driven_engine(rng, d, 6, "A + 0.5*B")
+    for t in engine.grid.times().tolist()[:-1]:
+        u = engine.unitary(t)
+    assert engine.max_grid_defect == unitary_defect(u) > 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 4, 32])
+@pytest.mark.parametrize("walk", ["chunk", "row_by_row"])
+def test_pruned_defect_gate_names_the_first_failing_row_of_the_stack(rng, monkeypatch, d, walk):
+    """Row 5 just above TOL_RECON, row 9 far above it: row 9 takes its SVD first, and
+    row 5 still fails with its own defect, not its bound, named by its row of the
+    full stack."""
+    engine = _driven_engine(rng, d, 12)
+    certified = _planting(monkeypatch, {5: 0.51 * core.TOL_RECON, 9: 1e-6}, d, rank=2)
+    times = engine.grid.times().tolist()[:-1]
+    with pytest.raises(AlgebraError) as raised:
+        if walk == "chunk":
+            engine.step_unitaries(times)
+        else:
+            for t in times:
+                engine.unitary(t)
+    defect = unitary_defect(certified[5])
+    assert core.TOL_RECON < defect < 1.1 * core.TOL_RECON
+    row = 5 if walk == "chunk" else 0
+    assert str(raised.value) == f"evolution unitary defect {defect:.3e} (stack row {row})"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("walk", ["chunk", "row_by_row"])
+def test_a_nan_unitary_raises_as_its_defect_does(rng, monkeypatch, walk):
+    from obsalg import evolution
+
+    engine = _driven_engine(rng, 4, 6)
+    real = evolution.unitary_exponential
+
+    def spoiled(g):
+        u = real(g).copy()
+        u[-1, 0, 1] = np.nan
+        return u
+
+    monkeypatch.setattr(evolution, "unitary_exponential", spoiled)
+    times = engine.grid.times().tolist()[:-1]
+    with pytest.raises(AlgebraError, match=r"^no spectral norm: the SVD failed on a non-finite "
+                                           r"entry$"):
+        if walk == "chunk":
+            engine.step_unitaries(times)
+        else:
+            engine.unitary(times[0])
+
+
 # --- failures in the middle of a chunk --------------------------------------------------------
 
 SX = {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
@@ -171,7 +317,8 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-FAILING_ROW = 1500  # in the middle of the second chunk of a d=2 run
+# in the middle of the second chunk of a d=2 run
+FAILING_ROW = 3 * (CHUNK_BYTES // (16 * 2 ** 2)) // 2
 
 
 @pytest.mark.filterwarnings("error")
@@ -179,7 +326,7 @@ FAILING_ROW = 1500  # in the middle of the second chunk of a d=2 run
 @pytest.mark.parametrize("where", ["config.hamiltonian", "config.observables_to_trace.x"])
 def test_evaluation_failure_mid_chunk_names_the_field_and_the_first_failing_t(
         tmp_path, picture, where):
-    tau, steps = 0.01, 2500
+    tau, steps = 0.01, FAILING_ROW + 1000
     size = CHUNK_BYTES // (16 * 2 ** 2)
     assert size < FAILING_ROW < 2 * size
     c = TimeGrid(tau, steps).times().tolist()[FAILING_ROW]

@@ -77,7 +77,8 @@ def _qubit_doc(picture: str, hamiltonian: str, traced: dict, steps: int) -> dict
             "grid": {"tau": 0.01, "steps": steps}, "observables_to_trace": traced}
 
 
-FIRST_FAILING_ROW = 1100  # beyond the first chunk of a d=2 run
+# beyond the first chunk of a d=2 run
+FIRST_FAILING_ROW = scenarios.CHUNK_BYTES // (16 * 2 ** 2) + 76
 
 
 def _late_anti_hermitian_term(row: int, tau: float) -> str:
@@ -95,9 +96,11 @@ def _late_anti_hermitian_term(row: int, tau: float) -> str:
 def test_hermiticity_gates_fire_beyond_the_first_chunk(tmp_path, picture, where):
     late = _late_anti_hermitian_term(FIRST_FAILING_ROW, 0.01)
     if where == "config.hamiltonian":
-        doc = _qubit_doc(picture, f"(omega/2)*SX + {late}", {"sz": "SZ"}, 1500)
+        doc = _qubit_doc(picture, f"(omega/2)*SX + {late}", {"sz": "SZ"},
+                         FIRST_FAILING_ROW + 400)
     else:
-        doc = _qubit_doc(picture, "(omega/2)*SX", {"sz": "SZ", "x": f"SX + {late}"}, 1500)
+        doc = _qubit_doc(picture, "(omega/2)*SX", {"sz": "SZ", "x": f"SX + {late}"},
+                         FIRST_FAILING_ROW + 400)
     grid = config_from_doc(doc).grid
     assert scenarios.CHUNK_BYTES // (16 * 2 ** 2) < FIRST_FAILING_ROW
     t = grid.times().tolist()[FIRST_FAILING_ROW]
