@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .canonical import conjugation_parity_check, make_canonical_pair, make_position
+from .canonical import MAX_LEVELS, conjugation_parity_check, make_canonical_pair, make_position
 from .core import PseudoObservable
 from .evolution import EvolutionEngine, Hamiltonian, TimeGrid, heisenberg_step, reverse_step
 from .expr import EvalContext
@@ -139,18 +139,17 @@ def reversal_suite(rng, dim: int, steps: int = 100) -> CheckReport:
                        residuals={"round_trip_residual": residual})
 
 
-MAX_DIM = 4096  # the largest dimension an audit takes; derived in run_audit
+MAX_DIM = 2 * MAX_LEVELS  # the largest dimension an audit takes, its Weyl pair's 2n
 
 
 def run_audit(dims: list[int], seed: int, planted_failure: bool = False) -> dict:
     """All suites across the requested dims; deterministic for a given seed.
 
-    ``obsalg audit --dims`` takes each d from 2 to MAX_DIM, a bound on the memory of the
-    d x d complex arrays, 16 d^2 bytes each, that a suite holds at once.  Its tracemalloc
-    peak is 10 such arrays in the automorphism suite and at most 9 in the others, at
-    d = 256 and at d = 512 alike.  Budgeting 32 arrays in 8 GiB, as ``make_position``
-    does, gives 16 * 32 * d^2 <= 2^33, so d <= 4096: the Weyl suite's pair, n = d/2,
-    stays within ``MAX_LEVELS``.
+    ``obsalg audit --dims`` takes each d from 2 to MAX_DIM, the dimension of the largest
+    canonical pair that ``make_position`` admits, since the Weyl suite builds one with
+    n = d/2; that bound, 32 d x d complex arrays in 8 GiB, is derived there.  A suite
+    holds fewer: its tracemalloc peak is 10 such arrays in the automorphism suite and at
+    most 9 in the others, at d = 256 and at d = 512 alike.
     """
     checks: list[CheckReport] = []
     for dim in dims:

@@ -252,13 +252,12 @@ class EvolutionEngine:
         """exp(i (step/hbar) H(t)) for each of ``times``, as one certified read-only stack.
 
         Each matrix is gated as one step's U: H(t) Hermitian, (step/hbar) H(t) finite,
-        the spectral kernel's certificates and ||U^dagger U - 1|| <= TOL_RECON.  Up to
-        d = BOUNDED_DEFECT_DIM the defect's SVD is taken only on the rows whose bound on
-        it exceeds the floor it must pass to matter: ``max_grid_defect`` for a grid
-        step, TOL_RECON for any other (:func:`obsalg.transforms._unitary_defects`).  A
-        pruned row's defect is at most that floor, so it neither fails the gate nor
-        moves the reported maximum: the gate's message and ``max_grid_defect`` are those
-        of one SVD per row.
+        the spectral kernel's certificates and ||U^dagger U - 1|| <= TOL_RECON.  The
+        defect's SVD is taken only on the rows whose bound on it exceeds the floor it
+        must pass to matter: ``max_grid_defect`` for a grid step, TOL_RECON for any
+        other (:func:`obsalg.transforms._unitary_defects`).  A pruned row's defect is at
+        most that floor, so it neither fails the gate nor moves the reported maximum:
+        the gate's message and ``max_grid_defect`` are those of one SVD per row.
         """
         h, hermitian = self.hamiltonian.values(self.hamiltonian.expr, times)
         if not hermitian.all():  # the first such H(t) raises, as a single read does
@@ -268,6 +267,7 @@ class EvolutionEngine:
         if not np.isfinite(g).all():
             raise AlgebraError("observable entries are not finite")
         u = unitary_exponential(g)
+        del g  # not held beside the defect's temporaries
         grid_step = step == self.grid.tau
         defect = _unitary_defects(u, self.max_grid_defect if grid_step else TOL_RECON)
         _gate(defect, TOL_RECON, lambda value: f"evolution unitary defect {value:.3e}")

@@ -52,54 +52,44 @@ def unitary_defect(w):
 
     ``w`` is an element, or a stack of entries with one defect per matrix, each
     one SVD.  Gates judge the same residual in the Frobenius norm instead (see
-    ``Transformation``).  A run's step unitaries of d <= BOUNDED_DEFECT_DIM take this
-    SVD only on the rows whose defect may exceed the largest one reported (see
-    :func:`_unitary_defects`).
+    ``Transformation``).  A run's step unitaries take this SVD only on the rows whose
+    defect may exceed the largest one reported (see :func:`_unitary_defects`).
     """
     e = getattr(w, "entries", w)
     return opnorm(_minus_identity(e.conj().swapaxes(-1, -2) @ e))
-
-
-BOUNDED_DEFECT_DIM = 96  # the largest d whose step defects are pruned by a bound
 
 
 def _unitary_defects(u: np.ndarray, floor: float) -> np.ndarray:
     """:func:`unitary_defect` of each matrix of the stack ``u`` where it can matter, and
     an upper bound of it elsewhere; ``floor`` (at most TOL_RECON) is what it must exceed.
 
-    With A = U^dagger U - 1, b = ||(A^dagger A)^2||_F^(1/4) (1 + 1e-8) bounds ||A|| from
-    above: it is the Schatten-8 norm of A, at least the spectral norm, and the factor
-    covers the rounding of the two products and of LAPACK's largest singular value
-    (d^2 u at most).  A b below 2^-100 may have lost its eighth powers to underflow, so
-    it reads as inf.  The row of the largest b takes its SVD first, and its defect
+    With A = U^dagger U - 1, formed once for the whole stack as :func:`unitary_defect`
+    forms it, b = ||(A^dagger A)^2||_F^(1/4) (1 + 1e-8) bounds ||A|| from above: it is
+    the Schatten-8 norm of A, at least the spectral norm, and the factor covers the
+    rounding of the two products and of LAPACK's largest singular value (d^2 u at
+    most).  A b below 2^-100 may have lost its eighth powers to underflow, so it reads
+    as inf.  The row of the largest b takes the SVD of its A first, and its defect
     raises the floor when it passes TOL_RECON; then every row whose value still exceeds
     the floor takes its SVD, as one stack.  A row left with b has a defect <= b <= the
     floor <= TOL_RECON, so it fails no gate, and the maximum of the stack and of a floor
     already reported, and the first row over TOL_RECON, are those of one SVD per row.
     A NaN b takes its SVD, which raises as :func:`unitary_defect` does.
-
-    b overshoots ||A|| more as d grows while a run's defects spread less: on a driven
-    oscillator the bound left 9% of the rows to an SVD at d = 64, 28% at d = 96 and
-    86% at d = 112, with a median overshoot of 1.15, 1.19 and 1.20.  Beyond
-    ``BOUNDED_DEFECT_DIM`` every row takes its SVD directly, without the two products.
     """
-    if u.shape[-1] > BOUNDED_DEFECT_DIM:
-        return unitary_defect(u)
     a = _minus_identity(u.conj().swapaxes(-1, -2) @ u)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite b reaches the SVD
         gram = a.conj().swapaxes(-1, -2) @ a
-        defects = np.sqrt(np.sqrt(_frobenius(np.matmul(gram, gram, out=a)))) * (1 + 1e-8)
-    del a, gram  # a row that takes its SVD forms A again: two d x d arrays at a time
+        defects = np.sqrt(np.sqrt(_frobenius(gram @ gram))) * (1 + 1e-8)
+    del gram
     defects[defects < 2.0 ** -100] = np.inf
     if defects.max() <= floor:  # a NaN fails it
         return defects
     top = int(np.argmax(defects))  # the first NaN, if any
-    defects[top] = unitary_defect(u[top])
+    defects[top] = opnorm(a[top])
     if defects[top] <= TOL_RECON:
         floor = max(floor, defects[top])
     rows = np.flatnonzero(~(defects <= floor))  # the top row again only if it fails
     if rows.size:
-        defects[rows] = unitary_defect(u[rows])
+        defects[rows] = opnorm(a[rows])
     return defects
 
 

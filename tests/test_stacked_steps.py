@@ -240,13 +240,6 @@ def test_a_bound_that_underflows_takes_its_svd():
 
 
 @pytest.mark.filterwarnings("error")
-def test_beyond_the_bounded_dimension_every_defect_takes_its_svd(rng):
-    d = transforms.BOUNDED_DEFECT_DIM + 2
-    u = unitary_exponential(0.3 * hermitian_stack(rng, d, 2))
-    assert same_bits(transforms._unitary_defects(u, core.TOL_RECON), unitary_defect(u))
-
-
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d", [2, 4, 32])
 def test_a_constant_hamiltonian_reports_its_defect_bit_for_bit(rng, d):
     engine = _driven_engine(rng, d, 6, "A + 0.5*B")
