@@ -19,9 +19,9 @@ Magnus term (1/2) int int [H(t1), H(t2)]: O(T^2), not shrinking with tau.
 The left-point rule reads H only at grid times known in advance, so a run
 reads H at a whole chunk of them as one stack (:meth:`Hamiltonian.values`)
 and certifies their unitaries as one stack
-(:meth:`EvolutionEngine.step_unitaries`).  H's memo and the unitary cache
-each hold one chunk, and ``EvolutionEngine.unitary`` serves every grid step
-from that cache.
+(:meth:`EvolutionEngine.step_unitaries`).  H's memo keeps one read per
+expression and the engine one unitary cache, each holding one chunk, from
+which ``EvolutionEngine.unitary`` serves every grid step.
 
 Difference-quotient residuals against the continuous equations of motion
 (Heisenberg, Schroedinger, von Neumann) are first order in tau.  Each
@@ -113,12 +113,12 @@ class Hamiltonian:
     Every expression evaluated in H's context (H itself, traced observables)
     goes through :meth:`values` (a trajectory chunk, stacked) or :meth:`value`
     (one time).  The context evaluates a subtree that does not reference ``t``
-    once per run.  A node that references ``t`` keeps its latest read of each
-    kind, so memory stays flat in the step count, and a read reuses the rows
-    those hold and evaluates the other times as one stack: the single read of
-    H(t0) outlives the chunks, for the run-level checks.  Each row is flagged
-    Hermitian or not when it is evaluated, and H is validated Hermitian when
-    it is read.
+    once per run.  A node that references ``t`` keeps one read, so memory stays
+    flat in the step count: a read reuses the rows it holds and evaluates the
+    other times as one stack.  A chunk replaces the read; one time is kept only
+    by a node that holds none, so a read off the grid evicts no chunk.  Each
+    row is flagged Hermitian or not when it is evaluated, and H is validated
+    Hermitian when it is read.
     """
 
     def __init__(self, expr: ObservableExpr | str, ctx: EvalContext,
@@ -129,53 +129,51 @@ class Hamiltonian:
         if not self.hbar > 0:
             raise AlgebraError(f"hbar must be positive, got {hbar}")
         self.time_dependent = references_time(self.expr)
-        # node -> its latest read through values (a chunk) and through value (one time)
-        self._chunks: dict[ObservableExpr, _Read] = {}
-        self._singles: dict[ObservableExpr, _Read] = {}
+        self._reads: dict[ObservableExpr, _Read] = {}  # node -> its one read
 
     @property
     def dim(self) -> int:
         return self.ctx.dim
 
     def values(self, node: ObservableExpr, times) -> tuple[np.ndarray, np.ndarray]:
-        """``node`` at each of ``times``, kept as the node's chunk: a read-only (k, d, d)
+        """``node`` at each of ``times``, kept as the node's read: a read-only (k, d, d)
         stack of entries and, per row, whether it is Hermitian.  A node that does not
         reference t has one row."""
-        return self._read(node, tuple(float(t) for t in times), self._chunks)
+        return self._read(node, tuple(float(t) for t in times), keep=True)
 
     def value(self, node: ObservableExpr, t: float) -> PseudoObservable:
-        """``node`` at time t, kept as the node's single read: an Observable exactly
-        when it is Hermitian."""
-        stack, hermitian = self._read(node, (float(t),), self._singles)
+        """``node`` at time t, kept only when the node holds no read: an Observable
+        exactly when it is Hermitian."""
+        stack, hermitian = self._read(node, (float(t),), keep=False)
         return (Observable if hermitian[0] else PseudoObservable)._view(stack[0])
 
     def _read(self, node: ObservableExpr, times: tuple[float, ...],
-              slot: dict[ObservableExpr, _Read]) -> tuple[np.ndarray, np.ndarray]:
-        """``node`` at ``times`` from the reads held, evaluating the rest; kept in ``slot``."""
+              keep: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``node`` at ``times`` from the node's read, evaluating the rest; the result
+        replaces that read when ``keep`` or when there is none."""
+        held = self._reads.get(node)
         if not references_time(node):  # one value, read once per run
-            read = self._singles.get(node)
-            if read is None:
-                read = self._singles[node] = _Read((None,), *self._evaluate(node, times[:1]))
-            return read.stack, read.hermitian
-        held = [read for read in (self._chunks.get(node), self._singles.get(node)) if read]
-        for read in held:
-            rows = read.rows_of(times)
-            if rows is not None:
-                return read.stack[rows], read.hermitian[rows]
-        found = {j: (read, read.rows[t]) for j, t in enumerate(times)
-                 for read in held if t in read.rows}
-        missing = [j for j in range(len(times)) if j not in found]
+            if held is None:
+                held = self._reads[node] = _Read((None,), *self._evaluate(node, times[:1]))
+            return held.stack, held.hermitian
+        rows = held.rows_of(times) if held else None
+        if rows is not None:
+            return held.stack[rows], held.hermitian[rows]
+        found = [j for j, t in enumerate(times) if held and t in held.rows]
         if found:  # the held rows beside the ones evaluated now
             stack = np.empty((len(times), self.dim, self.dim), dtype=complex)
             hermitian = np.empty(len(times), dtype=bool)
-            for j, (read, row) in found.items():
-                stack[j], hermitian[j] = read.stack[row], read.hermitian[row]
+            rows = [held.rows[times[j]] for j in found]
+            stack[found], hermitian[found] = held.stack[rows], held.hermitian[rows]
+            missing = [j for j, t in enumerate(times) if t not in held.rows]
             if missing:
                 stack[missing], hermitian[missing] = self._evaluate(
                     node, tuple(times[j] for j in missing))
         else:
             stack, hermitian = self._evaluate(node, times)
-        read = slot[node] = _Read(times, stack, hermitian)
+        read = _Read(times, stack, hermitian)
+        if keep or held is None:
+            self._reads[node] = read
         return read.stack, read.hermitian
 
     def _evaluate(self, node: ObservableExpr, times: tuple[float, ...]):
@@ -191,11 +189,11 @@ class Hamiltonian:
 class EvolutionEngine:
     """Hamiltonian + time grid + picture; produces steps and residual audits.
 
-    Step unitaries are cached.  :meth:`step_unitaries` certifies the grid-step
-    unitaries of one chunk of grid times as one stack, and the cache holds
-    that chunk until the next.  Any other U is computed on its own and kept
-    by step size: for a constant H once per run, for a time-dependent H only
-    at the latest t.  So memory stays flat in the step count.
+    Step unitaries are kept in one cache, by step size and time.
+    :meth:`step_unitaries` replaces it with the grid-step unitaries of one
+    chunk, certified as one stack.  Any other U is certified on its own and
+    kept at its step size: for a constant H once per run, for a time-dependent
+    H only at the latest t.  So memory stays flat in the step count.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, grid: TimeGrid,
@@ -205,12 +203,9 @@ class EvolutionEngine:
         self.hamiltonian = hamiltonian
         self.grid = grid
         self.picture = picture
-        # t -> row of _chunk: the grid-step unitaries of the latest chunk
-        self._chunk_rows: dict[float, int] = {}
-        self._chunk: np.ndarray | None = None
-        # step -> certified U, all at time _unitaries_t (None for a constant H)
-        self._unitaries: dict[float, PseudoObservable] = {}
-        self._unitaries_t: float | None = None
+        # step -> (t -> row, read-only stack) for a chunk of certified grid-step U, or
+        # (t -> certified U, None) for one t, which is None for a constant H
+        self._unitaries: dict[float, tuple[dict, np.ndarray | None]] = {}
         # largest ||U^dagger U - 1|| over the grid-step unitaries certified so far
         self.max_grid_defect = 0.0
 
@@ -229,24 +224,23 @@ class EvolutionEngine:
         U of the chunk :meth:`step_unitaries` certified is read from the cache.
         """
         step = self.grid.tau if step is None else float(step)
-        if step == self.grid.tau and t in self._chunk_rows:
-            return PseudoObservable._view(self._chunk[self._chunk_rows[t]])
-        if self.hamiltonian.time_dependent and t != self._unitaries_t:
-            self._unitaries.clear()
-            self._unitaries_t = float(t)
-        if step not in self._unitaries:
-            self._unitaries[step] = PseudoObservable._view(self._certify((t,), step)[0])
-        return self._unitaries[step]
+        key = t if self.hamiltonian.time_dependent else None
+        held, stack = self._unitaries.get(step) or ({}, None)
+        if key not in held:
+            self._unitaries.pop(step, None)  # not held beside its replacement
+            u = PseudoObservable._view(self._certify((t,), step)[0])
+            held, stack = self._unitaries[step] = {key: u}, None
+        return held[key] if stack is None else PseudoObservable._view(stack[held[key]])
 
     def step_unitaries(self, times) -> None:
-        """Certify U(t) at the grid step for each of ``times`` as one stack, which the
-        cache then holds in place of the previous chunk, dropped first; a constant H's U
-        is certified once, when a step asks for it."""
+        """Certify U(t) at the grid step for each of ``times`` as one stack, which is then
+        all the cache holds: everything it held is dropped first.  A constant H's U is
+        certified once, when a step asks for it."""
         if self.hamiltonian.time_dependent and len(times):
             times = tuple(float(t) for t in times)
-            self._chunk, self._chunk_rows = None, {}  # never two chunks alive together
-            self._chunk = self._certify(times, self.grid.tau)
-            self._chunk_rows = {t: j for j, t in enumerate(times)}
+            self._unitaries = {}  # never two chunks alive together
+            self._unitaries[self.grid.tau] = ({t: j for j, t in enumerate(times)},
+                                              self._certify(times, self.grid.tau))
 
     def _certify(self, times: tuple[float, ...], step: float) -> np.ndarray:
         """exp(i (step/hbar) H(t)) for each of ``times``, as one certified read-only stack.

@@ -272,7 +272,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     the engine's frames or steps the state; the rest is computed on the chunk's
     stacks by the kernels of one row at a time.  A read or a unitary that fails is
     read again one row at a time, so the first failure in row order is the one
-    reported.  The outputs are byte-identical for any chunk length.
+    reported.  The checks one step from t0 run once the first chunk is read, which
+    holds H(t0) and U(t0); those over the whole run, at the end.  The outputs are
+    byte-identical for any chunk length.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
@@ -300,9 +302,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     states[:] = initial.amplitudes if pure else initial.matrix.entries
     aheads = np.empty((size, d), dtype=complex) if pure and not heisenberg else None
 
-    # row 0: H, then each field in order; a field that does not reference t keeps this value
-    h0 = _observable(ham, ham.expr, float(times[0]), "config.hamiltonian").entries
-    fixed = [_observable(ham, node, float(times[0]), path).entries for path, node in fields]
+    # row 0: H, then each field in order; H's memo keeps a value that does not reference t
+    for path, node in [("config.hamiltonian", ham.expr), *fields]:
+        _observable(ham, node, float(times[0]), path)
 
     def read(m0: int, ts: list[float]) -> tuple[np.ndarray, list[np.ndarray]]:
         """H at the rows ``ts`` that start a step and the fields that reference t at
@@ -310,9 +312,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
         step_times = ts[:last - m0]
         try:
             h = (_stack(ham, ham.expr, step_times, "config.hamiltonian")[:len(ts) - 1]
-                 if ham.time_dependent else h0)
-            values = [_stack(ham, node, ts, path) if on else value
-                      for (path, node), on, value in zip(fields, timed, fixed)]
+                 if ham.time_dependent else ham.value(ham.expr, ts[0]).entries)
+            values = [_stack(ham, node, ts, path) if on else ham.value(node, ts[0]).entries
+                      for (path, node), on in zip(fields, timed)]
             engine.step_unitaries(ts[:-1])
         except (AlgebraError, ArithmeticError, Warning):
             for m, t in enumerate(ts):  # one row at a time: the first failure in row order
@@ -361,6 +363,8 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     for m0 in range(0, last, size):
         ts = times[m0:m0 + size + 1].tolist()
         h, values = read(m0, ts)
+        if m0 == 0:  # what the checks one step from t0 read, this chunk holds
+            t0_checks = _t0_checks(config, engine, initial)
         for j, t in enumerate(ts[:-1]):
             if heisenberg:
                 vs[j + 1] = next(frames)[1]
@@ -375,8 +379,7 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
             if chunk_array is not None:
                 chunk_array[0] = chunk_array[len(ts) - 1]
 
-    checks = _scenario_checks(config, engine, initial, energy_series)
-    return ScenarioResult(config, header, rows, checks)
+    return ScenarioResult(config, header, rows, _run_checks(engine, energy_series) + t0_checks)
 
 
 def _stack(ham: Hamiltonian, node: ObservableExpr, times: list[float], path: str) -> np.ndarray:
@@ -406,37 +409,35 @@ def _observable(ham: Hamiltonian, node: ObservableExpr, t: float, path: str) -> 
     return value
 
 
-def _scenario_checks(config: ScenarioConfig, engine: EvolutionEngine,
-                     initial: StateVector | DensityObservable,
-                     energy_series: list[float]) -> list[CheckReport]:
-    t0 = engine.grid.t0
-    unitary_worst = engine.max_grid_defect
-    checks = [CheckReport(
-        name="unitarity_along_grid",
-        passed=unitary_worst <= 1e-9,
-        residuals={"max_unitary_defect": unitary_worst},
-    )]
-
+def _run_checks(engine: EvolutionEngine, energy_series: list[float]) -> list[CheckReport]:
+    """The checks over the whole run: the grid's unitarity and, for a constant H, energy."""
+    worst = engine.max_grid_defect
+    checks = [CheckReport(name="unitarity_along_grid", passed=worst <= 1e-9,
+                          residuals={"max_unitary_defect": worst})]
     if energy_series:
         drift = max(abs(e - energy_series[0]) for e in energy_series)
-        scale = max(1.0, abs(energy_series[0]))
-        checks.append(CheckReport(
-            name="energy_conservation",
-            passed=drift <= 1e-10 * scale,
-            residuals={"energy_drift": drift},
-        ))
+        checks.append(CheckReport(name="energy_conservation",
+                                  passed=drift <= 1e-10 * max(1.0, abs(energy_series[0])),
+                                  residuals={"energy_drift": drift}))
+    return checks
 
+
+def _t0_checks(config: ScenarioConfig, engine: EvolutionEngine,
+               initial: StateVector | DensityObservable) -> list[CheckReport]:
+    """The checks one step from t0: picture duality, then the three halving checks or the
+    regime record.  A run computes them while its first chunk is held."""
+    t0 = engine.grid.t0
     rng = np.random.default_rng(config.seed)
     probe = random_hermitian(rng, engine.dim)
     density = initial if isinstance(initial, DensityObservable) else pure_density(initial)
     heis = expectation(density, heisenberg_step(engine, probe, t0))
     schr = expectation(von_neumann_step(engine, density, t0), probe)
     duality_residual = abs(heis - schr)
-    checks.append(CheckReport(
+    checks = [CheckReport(
         name="picture_equivalence",
         passed=duality_residual <= 1e-10 * max(1.0, abs(heis)),
         residuals={"duality_residual": duality_residual},
-    ))
+    )]
 
     # halving checks need the continuum regime; outside it record the regime instead of a
     # meaningless ratio (abscissa steps at tau = epsilon on purpose).  One ||H(t0)|| serves.

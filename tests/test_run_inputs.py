@@ -344,3 +344,35 @@ def test_traced_driven_hamiltonian_is_evaluated_once_per_distinct_time(monkeypat
             # H, traced as the energy, is read at the end time too; SZ once, at t0
             assert sorted(t for node, t in seen if node == config.hamiltonian) == grid_times
             assert [t for node, t in seen if node != config.hamiltonian] == grid_times[:1]
+
+
+def test_time_dependent_probe_is_evaluated_once_per_distinct_time(monkeypatch):
+    # the first traced observable is the residual checks' probe; they run while the
+    # first chunk is held, so they read it at t0 and t1 from that chunk and evaluate
+    # it only off the grid, at t0 + tau/2, without evicting the chunk the next reuses
+    from obsalg import evolution, scenarios
+
+    doc = bundled_doc("rabi")
+    doc["hamiltonian"] = "(omega/2)*cos(nu*t)*SX + (delta/2)*SZ"
+    doc["constants"] = {"omega": 1.0, "delta": 0.5, "nu": 1.3}
+    doc["grid"] = {"tau": 0.01, "steps": 100}
+    doc["observables_to_trace"] = {"o": "cos(t)*SZ + t*SX", "energy": doc["hamiltonian"]}
+    seen = []
+    real = evolution.evaluate
+
+    def counting(node, ctx):
+        seen.extend((node, t) for t in (ctx.t if isinstance(ctx.t, tuple) else (ctx.t,)))
+        return real(node, ctx)
+
+    monkeypatch.setattr(evolution, "evaluate", counting)
+    monkeypatch.setattr(scenarios, "CHUNK_BYTES", 16 * 2 ** 2 * 9)  # chunks of 9 steps
+    grid_times = config_from_doc(doc).grid.times().tolist()
+    for picture in ("heisenberg", "schrodinger"):
+        seen.clear()
+        config = config_from_doc({**doc, "picture": picture})
+        assert run_scenario(config).all_pass
+        assert len(seen) == len(set(seen)), picture
+        probe = config.observables_to_trace["o"]
+        assert sorted(t for node, t in seen if node == probe) == sorted(
+            grid_times + [grid_times[0] + doc["grid"]["tau"] / 2])
+        assert sorted(t for node, t in seen if node == config.hamiltonian) == grid_times

@@ -337,8 +337,9 @@ def test_driven_step_pays_one_eigh_and_bounded_certificates(monkeypatch, kind,
     assert per_step["eigh"] == 1
     assert per_step["opnorm"] <= 1 + traced_heisenberg
     assert per_step["hermiticity_defect"] <= 1
-    # the run-level checks add a fixed amount, independent of the step count
-    assert totals[0]["eigh"] - 50 == totals[1]["eigh"] - 100 <= 10
+    # the checks at t0 read U(t0) from the first chunk: U(t0, tau/2) is the only
+    # unitary off the grid
+    assert totals[0]["eigh"] - 50 == totals[1]["eigh"] - 100 == 1
 
 
 def test_driven_oscillator_takes_svds_on_few_of_its_steps(monkeypatch):
