@@ -28,7 +28,8 @@ Difference-quotient residuals against the continuous equations of motion
 equation has one ``*_step_residual`` function, the residual of one step of a
 given size or of a stack of them: the trace reports it at tau on its steps,
 each ``*_residual`` check at tau and tau/2 one step from the identity frame.
-Each residual reads the two values its step connects.
+Each residual reads the two values its step connects.  A scenario run calls
+the same checks, passing the ||H(t0)|| it takes once as ``h_norm``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .core import (
 )
 from .expr import (
     EvalContext,
+    ExprEvalError,
     ObservableExpr,
     evaluate,
     explicit_time_derivative,
@@ -118,7 +120,8 @@ class Hamiltonian:
     other times as one stack.  A chunk replaces the read; one time is kept only
     by a node that holds none, so a read off the grid evicts no chunk.  Each
     row is flagged Hermitian or not when it is evaluated, and H is validated
-    Hermitian when it is read.
+    Hermitian when it is read.  A read of one time that fails to evaluate names
+    that time.
     """
 
     def __init__(self, expr: ObservableExpr | str, ctx: EvalContext,
@@ -177,8 +180,14 @@ class Hamiltonian:
         return read.stack, read.hermitian
 
     def _evaluate(self, node: ObservableExpr, times: tuple[float, ...]):
-        """``node`` at ``times`` as one stack, and whether each row is Hermitian."""
-        stack = evaluate(node, self.ctx.with_t(times))
+        """``node`` at ``times`` as one stack, and whether each row is Hermitian.  A failure
+        to evaluate at one time is an ExprEvalError that names the time."""
+        try:
+            stack = evaluate(node, self.ctx.with_t(times))
+        except AlgebraError as exc:  # an ExprEvalError, or a spectral function's failure
+            if len(times) > 1:
+                raise
+            raise ExprEvalError(f"{exc} at t = {times[0]!r}") from exc
         return stack, hermiticity_defect(stack) <= TOL_HERM
 
     def evaluate(self, t: float) -> Observable:
@@ -381,25 +390,21 @@ def von_neumann_step_residual(engine: EvolutionEngine, rho: np.ndarray, rho_next
     return opnorm((rho_next - rho) / step - gen)
 
 
-def _h_norm(engine: EvolutionEngine, t: float) -> float:
-    """||H(t)||, taken once per public ``*_residual`` check, with a regime warning
-    issued at the check's caller; a scenario run passes its own to ``_*_report``."""
-    h_norm = engine.hamiltonian.evaluate(t).norm()
-    regime = engine.grid.tau * h_norm / engine.hbar
-    if regime > REGIME_BOUND:
-        warnings.warn(f"tau*||H||/hbar = {regime:.2f} > {REGIME_BOUND}; "
-                      f"difference quotients are far from the continuum regime",
-                      stacklevel=3)
-    return h_norm
-
-
-def _halving_report(name: str, engine: EvolutionEngine, h_norm: float, residual_at,
-                    o_scale: float = 1.0) -> CheckReport:
+def _halving_report(name: str, engine: EvolutionEngine, t: float, h_norm: float | None,
+                    residual_at, o_scale: float = 1.0) -> CheckReport:
     """Evaluate a step residual at tau and tau/2; first order means ratio <= 0.6.
 
     ``h_norm`` = ||H(t)|| sets the floor ``1e-12 * o_scale * max(1, ||H||)`` of
-    a zero residual.
+    a zero residual.  When it is None it is taken here, with a warning, issued at
+    the public check's caller, outside the continuum regime.
     """
+    if h_norm is None:
+        h_norm = engine.hamiltonian.evaluate(t).norm()
+        regime = engine.grid.tau * h_norm / engine.hbar
+        if regime > REGIME_BOUND:
+            warnings.warn(f"tau*||H||/hbar = {regime:.2f} > {REGIME_BOUND}; "
+                          f"difference quotients are far from the continuum regime",
+                          stacklevel=3)
     tau = engine.grid.tau
     r_tau = residual_at(tau)
     r_half = residual_at(tau / 2)
@@ -417,49 +422,37 @@ def _halving_report(name: str, engine: EvolutionEngine, h_norm: float, residual_
     )
 
 
-def _heisenberg_report(engine: EvolutionEngine, node: ObservableExpr, t: float,
-                       h_norm: float) -> CheckReport:
+def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
+                        t: float, h_norm: float | None = None) -> CheckReport:
+    """:func:`heisenberg_step_residual` of O at tau and tau/2.  ``h_norm`` = ||H(t)|| is
+    taken here, with a warning outside the continuum regime, when not given."""
+    node = parse(o_expr) if isinstance(o_expr, str) else o_expr
     ham = engine.hamiltonian
     h_t, o_t, v = ham.evaluate(t).entries, ham.value(node, t), np.eye(engine.dim, dtype=complex)
     return _halving_report(  # one step from the identity frame: V_1 = U(t, s) in any order
-        "heisenberg_residual", engine, h_norm,
+        "heisenberg_residual", engine, t, h_norm,
         lambda s: heisenberg_step_residual(engine, node, t, s, v, h_t, o_t.entries, _conjugate(
             engine.unitary(t, s).entries, ham.value(node, t + s)).entries),
         max(1.0, o_t.norm()))
 
 
-def _schrodinger_report(engine: EvolutionEngine, psi: StateVector, t: float,
-                        h_norm: float) -> CheckReport:
+def schrodinger_residual(engine: EvolutionEngine, psi: StateVector,
+                         t: float, h_norm: float | None = None) -> CheckReport:
+    """:func:`schrodinger_step_residual` of Psi at tau and tau/2; ``h_norm`` as in
+    :func:`heisenberg_residual`."""
     return _halving_report(
-        "schrodinger_residual", engine, h_norm,
+        "schrodinger_residual", engine, t, h_norm,
         lambda step: schrodinger_step_residual(engine, psi, t, step))
 
 
-def _von_neumann_report(engine: EvolutionEngine, d: DensityObservable, t: float,
-                        h_norm: float) -> CheckReport:
+def von_neumann_residual(engine: EvolutionEngine, d: DensityObservable,
+                         t: float, h_norm: float | None = None) -> CheckReport:
+    """:func:`von_neumann_step_residual` of D at tau and tau/2; ``h_norm`` as in
+    :func:`heisenberg_residual`."""
     return _halving_report(
-        "von_neumann_residual", engine, h_norm,
+        "von_neumann_residual", engine, t, h_norm,
         lambda s: von_neumann_step_residual(
             engine, d.matrix.entries, von_neumann_step(engine, d, t, s).matrix.entries, t, s))
-
-
-def heisenberg_residual(engine: EvolutionEngine, o_expr: ObservableExpr | str,
-                        t: float) -> CheckReport:
-    """:func:`heisenberg_step_residual` of O at tau and tau/2."""
-    node = parse(o_expr) if isinstance(o_expr, str) else o_expr
-    return _heisenberg_report(engine, node, t, _h_norm(engine, t))
-
-
-def schrodinger_residual(engine: EvolutionEngine, psi: StateVector,
-                         t: float) -> CheckReport:
-    """:func:`schrodinger_step_residual` of Psi at tau and tau/2."""
-    return _schrodinger_report(engine, psi, t, _h_norm(engine, t))
-
-
-def von_neumann_residual(engine: EvolutionEngine, d: DensityObservable,
-                         t: float) -> CheckReport:
-    """:func:`von_neumann_step_residual` of D at tau and tau/2."""
-    return _von_neumann_report(engine, d, t, _h_norm(engine, t))
 
 
 # ---------------------------------------------------------------------------

@@ -606,13 +606,19 @@ def time_reverse(node: ObservableExpr) -> ObservableExpr:
 
 def explicit_time_derivative(node: ObservableExpr, ctx: EvalContext,
                              h: float) -> PseudoObservable:
-    """Central difference in the explicit time argument, generators frozen."""
+    """Central difference in the explicit time argument, generators frozen.  A failure
+    to evaluate at t + h or t - h names that time."""
     if ctx.t is None:
         raise ExprEvalError("the time symbol 't' is not bound")
     if not h > 0:
         raise ExprEvalError(f"step must be positive, got {h}")
-    ahead = evaluate(node, ctx.with_t(ctx.t + h))
-    behind = evaluate(node, ctx.with_t(ctx.t - h))
+    values = []
+    for t in (ctx.t + h, ctx.t - h):
+        try:
+            values.append(evaluate(node, ctx.with_t(t)))
+        except AlgebraError as exc:
+            raise ExprEvalError(f"{exc} at t = {t!r}") from exc
+    ahead, behind = values
     return (ahead - behind) / (2 * h)
 
 

@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .canonical import MAX_LEVELS, make_canonical_pair, make_position
-from .core import AlgebraError, Observable, PseudoObservable, as_observable, vecnorm
+from .core import AlgebraError, PseudoObservable, as_observable, vecnorm
 # perfbench's test_traced_call_restores_every_wrapped_name reads scenarios.opnorm
 from .core import opnorm  # noqa: F401
 from .evolution import (
@@ -28,16 +28,16 @@ from .evolution import (
     EvolutionEngine,
     Hamiltonian,
     TimeGrid,
-    _heisenberg_report,
-    _schrodinger_report,
-    _von_neumann_report,
+    heisenberg_residual,
     heisenberg_step,
     heisenberg_step_residual,
+    schrodinger_residual,
     schrodinger_step_residual,
+    von_neumann_residual,
     von_neumann_step,
     von_neumann_step_residual,
 )
-from .expr import EvalContext, ExprEvalError, ObservableExpr, references_time
+from .expr import EvalContext, ExprEvalError, ObservableExpr
 from .rand import random_hermitian
 from .report import CheckReport
 from .serialize import (SchemaError, _check_type, _expression, _integer, _number, _require,
@@ -114,10 +114,22 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         operators[opname] = matrix_from_doc(
             load_json(base / opdoc, path) if isinstance(opdoc, str) else opdoc, path)
 
+    # a constant the expressions would never read, or an hbar the steps would not use,
+    # is refused rather than dropped
+    shadowed = {"t": "the time symbol", "i": "the imaginary unit",
+                **dict.fromkeys([*operators, *(("Q", "P", "S") if n is not None else ())],
+                                 "an operator")}
     constants = {}
     for cname, cval in _check_type(doc.get("constants", {}), dict,
                                    "config.constants", "an object").items():
-        constants[cname] = _number(cval, f"config.constants.{cname}")
+        path = f"config.constants.{cname}"
+        if cname in shadowed:
+            raise SchemaError(path, f"{cname!r} names {shadowed[cname]}, so no "
+                                    f"expression reads this constant")
+        constants[cname] = _number(cval, path)
+        if cname == "hbar" and constants[cname] != hbar:
+            raise SchemaError(path, f"{constants[cname]!r} contradicts config.hbar = "
+                                    f"{hbar!r}, which the steps use")
 
     traces = {}
     for tname, tsrc in _check_type(doc.get("observables_to_trace", {}), dict,
@@ -151,22 +163,18 @@ def build_engine(config: ScenarioConfig) -> EvolutionEngine:
     constants.setdefault("hbar", config.hbar)
     ctx = EvalContext(dim=dim, operators=operators, constants=constants)
     hamiltonian = Hamiltonian(config.hamiltonian, ctx, config.hbar)
-    # H(t0), the step generator and, in the Heisenberg picture, [O(t0), H(t0)]
-    # for each traced O must be finite (checked here, so overflow is not also
-    # warned about); an expression that fails to evaluate stays a runtime
-    # failure.  Values are read unvalidated through H's memo: an Observable
-    # would reject non-finite entries before this check could name the field.
+    # H(t0) and, in the Heisenberg picture, each traced O(t0) are read Hermitian, so
+    # finite; the step generator and [O(t0), H(t0)] must be finite too (checked here,
+    # so overflow is not also warned about)
     with np.errstate(over="ignore", invalid="ignore"):
-        h0 = _value(hamiltonian, hamiltonian.expr, config.grid.t0, "config.hamiltonian").entries
-        if not np.isfinite(h0).all():
-            raise SchemaError("config.hamiltonian", "H(t0) has non-finite entries")
+        t0 = [config.grid.t0]
+        h0 = _rows(hamiltonian, hamiltonian.expr, t0, "config.hamiltonian")[0]
         if not np.isfinite((config.grid.tau / config.hbar) * h0).all():
             raise SchemaError("config.grid.tau", "the step generator (tau/hbar) H(t0) "
                                                  "has non-finite entries")
         for name, node in (config.observables_to_trace.items()
                            if config.picture == "heisenberg" else ()):
-            o = _value(hamiltonian, node, config.grid.t0,
-                       f"config.observables_to_trace.{name}").entries
+            o = _rows(hamiltonian, node, t0, f"config.observables_to_trace.{name}")[0]
             if not np.isfinite(o @ h0 - h0 @ o).all():
                 raise SchemaError("config.hamiltonian", f"[O(t0), H(t0)] for the traced "
                                                         f"{name!r} has non-finite entries")
@@ -265,16 +273,18 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     the engine's frames.  Each traced value at every row, and H at every t the run
     steps from (before its unitary), must be Hermitian.
 
-    The grid is walked in chunks of ``CHUNK_BYTES // (16 d^2)`` steps.  Per chunk, H
-    at the times the steps start from and the traced values that reference t (the
-    others are read once, at t0) are read as stacks, and the engine certifies the
-    chunk's step unitaries as one stack.  Row by row the run then only takes V_m from
-    the engine's frames or steps the state; the rest is computed on the chunk's
-    stacks by the kernels of one row at a time.  A read or a unitary that fails is
-    read again one row at a time, so the first failure in row order is the one
-    reported.  The checks one step from t0 run once the first chunk is read, which
-    holds H(t0) and U(t0); those over the whole run, at the end.  The outputs are
-    byte-identical for any chunk length.
+    Every value the run reads goes through :func:`_rows`.  The grid is walked in
+    chunks of ``CHUNK_BYTES // (16 d^2)`` steps.  Per chunk, H at the times the steps
+    start from and the traced values that reference t (the others are read once, at
+    t0) are read as stacks, and the engine certifies the chunk's step unitaries as one
+    stack.  Row by row the run then only takes V_m from the engine's frames or steps
+    the state; the rest is computed on the chunk's stacks by the kernels of one row at
+    a time.  A read or a unitary that fails is read again one row at a time, so the
+    first failure in row order is the one reported; a row's unitary reads the H(t)
+    that row kept.  The checks one step from t0 run once the first chunk is read,
+    which holds H(t0) and U(t0); those over the whole run, at the end.  An evaluation
+    that fails off the grid, in the checks or in a dO/dt, names its field and t too.
+    The outputs are byte-identical for any chunk length.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
@@ -286,7 +296,6 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     if not ham.time_dependent and ham.expr not in traced.values():
         fields.append(("config.hamiltonian", ham.expr))
     energy_at = None if ham.time_dependent else [node for _, node in fields].index(ham.expr)
-    timed = [references_time(node) for _, node in fields]
 
     header = ["step", "t", *traced.keys(), "equation_residual", "state_drift"]
     rows: list[list[float]] = []
@@ -304,27 +313,25 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
 
     # row 0: H, then each field in order; H's memo keeps a value that does not reference t
     for path, node in [("config.hamiltonian", ham.expr), *fields]:
-        _observable(ham, node, float(times[0]), path)
+        _rows(ham, node, times[:1].tolist(), path)
 
     def read(m0: int, ts: list[float]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """H at the rows ``ts`` that start a step and the fields that reference t at
-        every row, gated, then the unitaries of the steps from all rows but the last."""
+        """H at the rows ``ts`` that start a step and each field at every row, gated (one
+        row for a value that does not reference t), then the unitaries of the steps from
+        all rows but the last."""
         step_times = ts[:last - m0]
         try:
-            h = (_stack(ham, ham.expr, step_times, "config.hamiltonian")[:len(ts) - 1]
-                 if ham.time_dependent else ham.value(ham.expr, ts[0]).entries)
-            values = [_stack(ham, node, ts, path) if on else ham.value(node, ts[0]).entries
-                      for (path, node), on in zip(fields, timed)]
+            h = _rows(ham, ham.expr, step_times, "config.hamiltonian")[:len(ts) - 1]
+            values = [_rows(ham, node, ts, path) for path, node in fields]
             engine.step_unitaries(ts[:-1])
         except (AlgebraError, ArithmeticError, Warning):
             for m, t in enumerate(ts):  # one row at a time: the first failure in row order
                 if m < len(step_times):
-                    _observable(ham, ham.expr, t, "config.hamiltonian")
-                for (path, node), on in zip(fields, timed):
-                    if on:
-                        _observable(ham, node, t, path)
+                    _rows(ham, ham.expr, [t], "config.hamiltonian")
+                for path, node in fields:
+                    _rows(ham, node, [t], path)
                 if m < len(ts) - 1:
-                    engine.unitary(t)
+                    engine.unitary(t)  # reads the H(t) just kept
             raise
         return h, values
 
@@ -336,8 +343,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
             v = vs[:k + 1]
             values = [v @ o @ v.conj().transpose(0, 2, 1) for o in values]
             residual = np.max([np.zeros(k)] + [  # residuals are >= 0: a 0 for no traced O
-                heisenberg_step_residual(engine, node, ts[:k], tau, v[:k], h, o[:k], o[1:])
-                for (_, node), o in zip(fields, values[:len(traced)])], axis=0)
+                _for_field(path, heisenberg_step_residual,
+                           engine, node, ts[:k], tau, v[:k], h, o[:k], o[1:])
+                for (path, node), o in zip(fields, values[:len(traced)])], axis=0)
         elif pure:
             residual = schrodinger_step_residual(engine, chunk[:k], ts[:k], tau, aheads[:k], h)
         else:
@@ -382,31 +390,25 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     return ScenarioResult(config, header, rows, _run_checks(engine, energy_series) + t0_checks)
 
 
-def _stack(ham: Hamiltonian, node: ObservableExpr, times: list[float], path: str) -> np.ndarray:
-    """``node`` at each of ``times`` from H's memo, as a stack whose every row is
-    Hermitian; a failure is reported by reading the rows one at a time."""
-    stack, hermitian = ham.values(node, times)
+def _rows(ham: Hamiltonian, node: ObservableExpr, times: list[float], path: str) -> np.ndarray:
+    """``node`` at each of ``times``, kept as the node's read in H's memo, as a stack whose
+    every row is Hermitian (one row when ``node`` does not reference t).  An expression
+    that fails to evaluate stays a runtime failure; read at one time, it names the field
+    and t."""
+    stack, hermitian = _for_field(path, ham.values, node, times)
     if not hermitian.all():
         raise SchemaError(path, f"not a finite Hermitian matrix at "
                                 f"t = {times[int(np.argmin(hermitian))]!r}")
     return stack
 
 
-def _value(ham: Hamiltonian, node: ObservableExpr, t: float, path: str) -> PseudoObservable:
-    """``node`` at t from H's memo; an expression that fails to evaluate stays a
-    runtime failure, which names the field and t."""
+def _for_field(path: str, compute, *args, **kwargs):
+    """``compute(*args, **kwargs)``, whose evaluation failures, which name their t, are
+    reported with the field that was read."""
     try:
-        return ham.value(node, t)
-    except AlgebraError as exc:  # an ExprEvalError, or a spectral function's failure
-        raise ExprEvalError(f"{path}: {exc} at t = {t!r}") from exc
-
-
-def _observable(ham: Hamiltonian, node: ObservableExpr, t: float, path: str) -> Observable:
-    """``node`` at t from H's memo, which holds an Observable exactly when it is Hermitian."""
-    value = _value(ham, node, t, path)
-    if not isinstance(value, Observable):
-        raise SchemaError(path, f"not a finite Hermitian matrix at t = {t!r}")
-    return value
+        return compute(*args, **kwargs)
+    except ExprEvalError as exc:
+        raise ExprEvalError(f"{path}: {exc}") from exc
 
 
 def _run_checks(engine: EvolutionEngine, energy_series: list[float]) -> list[CheckReport]:
@@ -425,7 +427,10 @@ def _run_checks(engine: EvolutionEngine, energy_series: list[float]) -> list[Che
 def _t0_checks(config: ScenarioConfig, engine: EvolutionEngine,
                initial: StateVector | DensityObservable) -> list[CheckReport]:
     """The checks one step from t0: picture duality, then the three halving checks or the
-    regime record.  A run computes them while its first chunk is held."""
+    regime record.  A run computes them while its first chunk is held.  The halving
+    checks are the public ``*_residual`` of :mod:`obsalg.evolution`, handed the one
+    ||H(t0)|| taken here; the Heisenberg one reads the first traced observable, or H,
+    whose field names an evaluation that fails."""
     t0 = engine.grid.t0
     rng = np.random.default_rng(config.seed)
     probe = random_hermitian(rng, engine.dim)
@@ -444,11 +449,13 @@ def _t0_checks(config: ScenarioConfig, engine: EvolutionEngine,
     h_norm = engine.hamiltonian.evaluate(t0).norm()
     regime = engine.grid.tau * h_norm / engine.hbar
     if regime <= REGIME_BOUND:
-        probe = next(iter(config.observables_to_trace.values()), engine.hamiltonian.expr)
-        checks.append(_heisenberg_report(engine, probe, t0, h_norm))
+        path, probe = next(((f"config.observables_to_trace.{name}", node) for name, node
+                            in config.observables_to_trace.items()),
+                           ("config.hamiltonian", engine.hamiltonian.expr))
+        checks.append(_for_field(path, heisenberg_residual, engine, probe, t0, h_norm=h_norm))
         if isinstance(initial, StateVector):
-            checks.append(_schrodinger_report(engine, initial, t0, h_norm))
-        checks.append(_von_neumann_report(engine, density, t0, h_norm))
+            checks.append(schrodinger_residual(engine, initial, t0, h_norm=h_norm))
+        checks.append(von_neumann_residual(engine, density, t0, h_norm=h_norm))
     else:
         checks.append(CheckReport(
             name="equation_residual_regime",

@@ -267,6 +267,27 @@ def test_engine_input_fault_names_its_field(tmp_path, fields, where):
     assert err.startswith(f"validation error: {where}")
 
 
+@pytest.mark.parametrize("scenario, edits, name", [
+    # the expressions would read hbar = 2 and the steps hbar = 1
+    ("rabi", {"hamiltonian": "hbar*SX", "constants": {"hbar": 2.0}}, "hbar"),
+    ("rabi", {"constants": {"omega": 1.0, "t": 1.0}}, "t"),      # the time symbol
+    ("rabi", {"constants": {"omega": 1.0, "i": 1.0}}, "i"),      # the imaginary unit
+    ("rabi", {"constants": {"omega": 1.0, "SX": 1.0}}, "SX"),    # an operator
+    ("free_particle", {"constants": {"m": 1.0, "Q": 1.0}}, "Q"),  # the canonical pair's
+], ids=["hbar-contradicts-config", "time-symbol", "imaginary-unit", "operator",
+        "canonical-pair-operator"])
+def test_unread_or_contradicting_constant_names_its_field(tmp_path, scenario, edits,
+                                                        name):
+    doc = json.loads(resources.files("obsalg.data").joinpath(f"{scenario}.json").read_text())
+    doc.update(edits)
+    doc["grid"]["steps"] = 5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert err.startswith(f"validation error: config.constants.{name}:")
+
+
 # content of a referenced file: None for a missing one, DIRECTORY for a directory
 DIRECTORY = object()
 

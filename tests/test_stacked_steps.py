@@ -6,7 +6,8 @@
 * a step unitary's defect takes its SVD only where the reported maximum can move,
   and the maximum and the gate read as if every row took one;
 * an evaluation failure in the middle of a chunk names its field and the first
-  failing t, as a row-by-row walk does;
+  failing t, as a row-by-row walk does, and that walk evaluates each (expression,
+  t) once more; one off the grid, where the checks or a dO/dt read, names them too;
 * ``--out`` is created only once a run succeeds, and a spectral function that
   overflows exits 3 whatever the warning filter.
 """
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 import traceback
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +340,56 @@ def test_evaluation_failure_mid_chunk_names_the_field_and_the_first_failing_t(
     assert code == 3, err
     assert err == f"runtime error: {where}: division by zero at t = {c!r}\n"
     assert not (tmp_path / "out").exists()
+
+
+DRIVEN_RABI = {"name": "driven", "operators": {"SX": SX, "SZ": SZ},
+               "hamiltonian": "(omega/2)*cos(nu*t)*SX + (delta/2)*SZ",
+               "constants": {"omega": 1.0, "delta": 0.5, "nu": 1.3}}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("picture, traced, t", [
+    # the checks' probe at t0 + tau/2
+    *((picture, "SX/(t - 0.005)", 0.005) for picture in PICTURES),
+    # the checks' dO/dt at t0 + tau/64
+    *((picture, "cos(t)*SZ + SX/(t - 0.01/64)", 0.00015625) for picture in PICTURES),
+    # the trace's dO/dt at t_30 + tau/64, in the Heisenberg picture only
+    ("heisenberg", "cos(t)*SZ + SX/(t - 0.30015625)", 0.30015625),
+], ids=["probe-heisenberg", "probe-schrodinger", "checks-dodt-heisenberg",
+        "checks-dodt-schrodinger", "trace-dodt-heisenberg"])
+def test_evaluation_failure_off_the_grid_names_the_field_and_t(tmp_path, picture, traced, t):
+    doc = {**DRIVEN_RABI, "picture": picture, "grid": {"tau": 0.01, "steps": 50},
+           "observables_to_trace": {"o": traced, "sz": "SZ"}}
+    path = tmp_path / "offgrid.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3, err
+    assert err == f"runtime error: config.observables_to_trace.o: division by zero at t = {t!r}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("picture", PICTURES)
+def test_a_failing_chunk_is_evaluated_once_more_row_by_row(tmp_path, monkeypatch, picture):
+    # the stacked read of the chunk holding t = 30 fails; its rows up to the failing one
+    # are read again one at a time, and the step unitary of each reads the H(t) kept then
+    from obsalg import evolution
+
+    seen = []
+    real = evolution.evaluate
+
+    def counting(node, ctx):
+        seen.extend((node, t) for t in (ctx.t if isinstance(ctx.t, tuple) else (ctx.t,)))
+        return real(node, ctx)
+
+    monkeypatch.setattr(evolution, "evaluate", counting)
+    doc = {**DRIVEN_RABI, "picture": picture, "grid": {"tau": 0.01, "steps": 5000},
+           "observables_to_trace": {"o": "cos(t)*SZ + t*SX", "sz": "SZ"}}
+    doc["hamiltonian"] += " + 1e-6*SX/(t - 30.0)"
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+    assert (code, err) == (3, "runtime error: config.hamiltonian: division by zero at t = 30.0\n")
+    assert max(Counter(seen).values()) == 2
 
 
 def test_out_directory_is_not_created_by_a_run_that_fails(tmp_path):
