@@ -18,10 +18,10 @@ Magnus term (1/2) int int [H(t1), H(t2)]: O(T^2), not shrinking with tau.
 
 The left-point rule reads H only at grid times known in advance, so a run
 reads H at a whole chunk of them as one stack (:meth:`Hamiltonian.values`)
-and certifies their unitaries as one stack
-(:meth:`EvolutionEngine.step_unitaries`).  H's memo keeps one read per
-expression and the engine one unitary cache, each holding one chunk, from
-which ``EvolutionEngine.unitary`` serves every grid step.
+and certifies their unitaries as one stack, in one ``eigh`` call, which a
+pure state's steps read (:meth:`EvolutionEngine.step_unitaries`).  H's memo
+keeps one read per expression and the engine one unitary cache, each holding
+one chunk, from which ``EvolutionEngine.unitary`` serves every other step.
 
 Difference-quotient residuals against the continuous equations of motion
 (Heisenberg, Schroedinger, von Neumann) are first order in tau.  Each
@@ -212,9 +212,8 @@ class EvolutionEngine:
         self.hamiltonian = hamiltonian
         self.grid = grid
         self.picture = picture
-        # step -> (t -> row, read-only stack) for a chunk of certified grid-step U, or
-        # (t -> certified U, None) for one t, which is None for a constant H
-        self._unitaries: dict[float, tuple[dict, np.ndarray | None]] = {}
+        # step -> (t -> row, read-only stack of certified U); t is None for a constant H
+        self._unitaries: dict[float, tuple[dict, np.ndarray]] = {}
         # largest ||U^dagger U - 1|| over the grid-step unitaries certified so far
         self.max_grid_defect = 0.0
 
@@ -237,19 +236,20 @@ class EvolutionEngine:
         held, stack = self._unitaries.get(step) or ({}, None)
         if key not in held:
             self._unitaries.pop(step, None)  # not held beside its replacement
-            u = PseudoObservable._view(self._certify((t,), step)[0])
-            held, stack = self._unitaries[step] = {key: u}, None
-        return held[key] if stack is None else PseudoObservable._view(stack[held[key]])
+            held, stack = self._unitaries[step] = {key: 0}, self._certify((t,), step)
+        return PseudoObservable._view(stack[held[key]])
 
-    def step_unitaries(self, times) -> None:
-        """Certify U(t) at the grid step for each of ``times`` as one stack, which is then
-        all the cache holds: everything it held is dropped first.  A constant H's U is
-        certified once, when a step asks for it."""
+    def step_unitaries(self, times) -> np.ndarray | None:
+        """Certify U(t) at the grid step for each of ``times`` as one read-only stack and
+        return it; it is then all the cache holds, everything it held dropped first.  A
+        constant H's U is certified once, when a step asks for it: None is returned."""
         if self.hamiltonian.time_dependent and len(times):
             times = tuple(float(t) for t in times)
             self._unitaries = {}  # never two chunks alive together
-            self._unitaries[self.grid.tau] = ({t: j for j, t in enumerate(times)},
-                                              self._certify(times, self.grid.tau))
+            _, stack = self._unitaries[self.grid.tau] = ({t: j for j, t in enumerate(times)},
+                                                         self._certify(times, self.grid.tau))
+            return stack
+        return None
 
     def _certify(self, times: tuple[float, ...], step: float) -> np.ndarray:
         """exp(i (step/hbar) H(t)) for each of ``times``, as one certified read-only stack.

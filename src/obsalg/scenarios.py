@@ -107,18 +107,20 @@ def config_from_doc(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             raise SchemaError("config.epsilon", "n*epsilon, pi*hbar/epsilon and "
                                                 "epsilon/hbar must be normal floats")
 
+    # an operator or constant the expressions would never read, or an hbar the steps
+    # would not use, is refused rather than dropped
+    shadowed = {"t": "the time symbol", "i": "the imaginary unit"}
     operators: dict[str, PseudoObservable] = {}
     for opname, opdoc in _check_type(doc.get("operators", {}), dict,
                                      "config.operators", "an object").items():
         path = f"config.operators.{opname}"  # a document, or a path to one
+        if opname in shadowed:
+            raise SchemaError(path, f"{opname!r} names {shadowed[opname]}, so no "
+                                    f"expression reads this operator")
         operators[opname] = matrix_from_doc(
             load_json(base / opdoc, path) if isinstance(opdoc, str) else opdoc, path)
-
-    # a constant the expressions would never read, or an hbar the steps would not use,
-    # is refused rather than dropped
-    shadowed = {"t": "the time symbol", "i": "the imaginary unit",
-                **dict.fromkeys([*operators, *(("Q", "P", "S") if n is not None else ())],
-                                 "an operator")}
+    shadowed.update(dict.fromkeys([*operators, *(("Q", "P", "S") if n is not None else ())],
+                                  "an operator"))
     constants = {}
     for cname, cval in _check_type(doc.get("constants", {}), dict,
                                    "config.constants", "an object").items():
@@ -277,14 +279,14 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     chunks of ``CHUNK_BYTES // (16 d^2)`` steps.  Per chunk, H at the times the steps
     start from and the traced values that reference t (the others are read once, at
     t0) are read as stacks, and the engine certifies the chunk's step unitaries as one
-    stack.  Row by row the run then only takes V_m from the engine's frames or steps
-    the state; the rest is computed on the chunk's stacks by the kernels of one row at
-    a time.  A read or a unitary that fails is read again one row at a time, so the
-    first failure in row order is the one reported; a row's unitary reads the H(t)
-    that row kept.  The checks one step from t0 run once the first chunk is read,
-    which holds H(t0) and U(t0); those over the whole run, at the end.  An evaluation
-    that fails off the grid, in the checks or in a dO/dt, names its field and t too.
-    The outputs are byte-identical for any chunk length.
+    stack, in one ``eigh`` call.  Row by row the run then only takes V_m from the
+    engine's frames or steps the state, a pure state by that stack's U^dagger (taken per
+    chunk, or per run for a constant H); the rest is computed on the chunk's stacks.  A
+    read or a unitary that fails is read again one row at a time, so the first failure
+    in row order is reported; a row's unitary reads the H(t) that row kept.  The checks
+    one step from t0 run once the first chunk, which holds H(t0) and U(t0), is read;
+    those over the whole run, at the end.  An evaluation that fails off the grid (checks,
+    dO/dt) names its field and t too.  The outputs are byte-identical for any chunk length.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
@@ -315,15 +317,15 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     for path, node in [("config.hamiltonian", ham.expr), *fields]:
         _rows(ham, node, times[:1].tolist(), path)
 
-    def read(m0: int, ts: list[float]) -> tuple[np.ndarray, list[np.ndarray]]:
+    def read(m0: int, ts: list[float]) -> tuple[np.ndarray, list, np.ndarray | None]:
         """H at the rows ``ts`` that start a step and each field at every row, gated (one
         row for a value that does not reference t), then the unitaries of the steps from
-        all rows but the last."""
+        all rows but the last (their stack, or None for a constant H)."""
         step_times = ts[:last - m0]
         try:
             h = _rows(ham, ham.expr, step_times, "config.hamiltonian")[:len(ts) - 1]
             values = [_rows(ham, node, ts, path) for path, node in fields]
-            engine.step_unitaries(ts[:-1])
+            return h, values, engine.step_unitaries(ts[:-1])
         except (AlgebraError, ArithmeticError, Warning):
             for m, t in enumerate(ts):  # one row at a time: the first failure in row order
                 if m < len(step_times):
@@ -333,7 +335,6 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
                 if m < len(ts) - 1:
                     engine.unitary(t)  # reads the H(t) just kept
             raise
-        return h, values
 
     def emit(ts: list[float], h: np.ndarray, values: list[np.ndarray], final: bool) -> None:
         """The rows of a chunk but the last, which starts the next chunk."""
@@ -365,19 +366,22 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
         rows.extend(map(list, zip(range(len(rows), len(rows) + k + final), ts,
                                   *columns[:len(traced)], residual.tolist(), drift.tolist())))
 
-    state = initial.amplitudes if pure else initial
+    state, udag = (initial.amplitudes if pure else initial), None
     if heisenberg:
         vs[0] = next(frames)[1]
     for m0 in range(0, last, size):
         ts = times[m0:m0 + size + 1].tolist()
-        h, values = read(m0, ts)
+        h, values, us = read(m0, ts)
         if m0 == 0:  # what the checks one step from t0 read, this chunk holds
             t0_checks = _t0_checks(config, engine, initial)
+        if pure and not heisenberg and udag is None:  # once per run for a constant H
+            us = engine.unitary(ts[0]).entries[None] if us is None else us
+            udag = np.broadcast_to(us.conj().swapaxes(-1, -2), (len(ts) - 1, d, d))
         for j, t in enumerate(ts[:-1]):
             if heisenberg:
                 vs[j + 1] = next(frames)[1]
             elif pure:
-                aheads[j] = ahead = engine.unitary(t).entries.conj().T @ state
+                aheads[j] = ahead = udag[j] @ state
                 states[j + 1] = state = unit_amplitudes(ahead)
             else:
                 state = von_neumann_step(engine, state, t)
@@ -386,6 +390,8 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
         for chunk_array in (vs, states):
             if chunk_array is not None:
                 chunk_array[0] = chunk_array[len(ts) - 1]
+        if ham.time_dependent:  # not held beside the next chunk's unitaries
+            us = udag = None
 
     return ScenarioResult(config, header, rows, _run_checks(engine, energy_series) + t0_checks)
 

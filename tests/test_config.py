@@ -288,6 +288,22 @@ def test_unread_or_contradicting_constant_names_its_field(tmp_path, scenario, ed
     assert err.startswith(f"validation error: config.constants.{name}:")
 
 
+@pytest.mark.parametrize("name", ["t", "i"], ids=["time-symbol", "imaginary-unit"])
+def test_unread_operator_names_its_field(tmp_path, name):
+    """The evaluator reads t as the time and i as the imaginary unit, so an operator of
+    either name would never be read, even by an expression that mentions it."""
+    doc = json.loads(resources.files("obsalg.data").joinpath("rabi.json").read_text())
+    doc["operators"][name] = doc["operators"]["SZ"]
+    doc["hamiltonian"] = "(omega/2)*SX + 0*t*i"
+    doc["grid"]["steps"] = 5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2, err
+    assert err.startswith(f"validation error: config.operators.{name}:")
+    assert not (tmp_path / "out").exists()
+
+
 # content of a referenced file: None for a missing one, DIRECTORY for a directory
 DIRECTORY = object()
 

@@ -296,20 +296,24 @@ def _driven_doc(kind: str, steps: int) -> dict:
 
 
 def _count_work(monkeypatch) -> dict[str, int]:
-    """Count eigh calls, spectral norms (one SVD each) and Hermiticity checks."""
+    """Count eigh matrices (the product of a stacked input's leading axes), spectral norms
+    (one SVD each) and Hermiticity checks."""
+    import math
+
     import numpy as np
 
     from obsalg import core
 
     counts = {"eigh": 0, "opnorm": 0, "hermiticity_defect": 0}
 
-    def counting(name, fn):
+    def counting(name, fn, work=lambda *args, **kwargs: 1):
         def wrapped(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += work(*args, **kwargs)
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", counting(
+        "eigh", np.linalg.eigh, lambda a, *args, **kwargs: math.prod(np.shape(a)[:-2])))
     modules = [m for key, m in sys.modules.items() if key.startswith("obsalg")]
     for name in ("opnorm", "hermiticity_defect"):
         original = getattr(core, name)
@@ -322,7 +326,7 @@ def _count_work(monkeypatch) -> dict[str, int]:
 @pytest.mark.parametrize("kind, traced_heisenberg", [("qubit", 2), ("oscillator", 0)])
 def test_driven_step_pays_one_eigh_and_bounded_certificates(monkeypatch, kind,
                                                             traced_heisenberg):
-    """Per grid step of a time-dependent H: one eigh, at most one spectral
+    """Per grid step of a time-dependent H: one eigh matrix, at most one spectral
     norm (SVD) for the reported unitary defect plus one per traced Heisenberg
     residual, and one Hermiticity check of H(t).  Per-step cost is the difference between a
     100-step and a 50-step run, so the checks run once per run drop out."""

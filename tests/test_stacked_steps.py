@@ -1,7 +1,8 @@
 """Driven runs compute their step unitaries a chunk at a time, and the stacks do not show.
 
-* the stack-aware spectral kernel and the stacked expression evaluator give, row
-  by row, the bits of one call per matrix or per time;
+* the stack-aware spectral kernel, its one ``eigh`` call per stack and the stacked
+  expression evaluator give, row by row, the bits of one call per matrix or per time;
+* a LAPACK failure in a stack is an AlgebraError;
 * a gate that fails on a stack names the failing row;
 * a step unitary's defect takes its SVD only where the reported maximum can move,
   and the maximum and the gate read as if every row took one;
@@ -72,6 +73,32 @@ def test_stacked_kernel_matches_one_call_per_matrix_bit_for_bit(rng, d):
         assert same_bits(defects[j], unitary_defect(PseudoObservable(u_j)))
         assert same_bits(cos_g[j], core._function_entries(np.cos, g_j))
         assert same_bits(hermiticity_defect(g)[j], hermiticity_defect(g_j))
+
+
+@pytest.mark.parametrize("d, k", [(2, 2048), (32, 8)])  # a chunk of each, by CHUNK_BYTES
+def test_stacked_eigh_matches_one_eigh_per_matrix_bit_for_bit(rng, d, k):
+    stack = hermitian_stack(rng, d, k)  # row 1 has a repeated eigenvalue
+    w, v = core._eigh_rows(stack)
+    assert w.shape == (k, d) and v.shape == (k, d, d)
+    for j, a in enumerate(stack):
+        w_j, v_j = np.linalg.eigh(a)
+        assert same_bits(w[j], w_j) and same_bits(v[j], v_j), j
+
+
+def test_a_lapack_failure_in_a_stack_is_an_algebra_error(rng, monkeypatch):
+    calls = []
+
+    def failing(a):
+        calls.append(np.shape(a))
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    stack = hermitian_stack(rng, 4)
+    with pytest.raises(AlgebraError, match=r"^eigensolver failed: Eigenvalues did not converge$"):
+        core._eigh_rows(stack)
+    with pytest.raises(AlgebraError, match=r"^eigensolver failed: "):
+        unitary_exponential(0.3 * stack)
+    assert calls == [stack.shape] * 2  # one call for the whole stack
 
 
 @pytest.mark.parametrize("d", DIMS)

@@ -115,17 +115,25 @@ def test_hermiticity_gates_fire_beyond_the_first_chunk(tmp_path, picture, where)
 @pytest.mark.parametrize("picture", PICTURES)
 @pytest.mark.parametrize("state", ["pure", "density"])
 def test_trajectory_computes_one_unitary_per_grid_step(monkeypatch, picture, state):
-    """Per grid step, one ``EvolutionEngine.unitary`` call: the Schroedinger
-    residual reads the U^dagger psi that its step computed.  Per-step cost is
-    the difference between a 100-step and a 50-step run."""
+    """Per grid step, one ``EvolutionEngine.unitary`` call, or for a pure state in the
+    Schroedinger picture, which reads U^dagger from the chunk's certified stack, one
+    certified unitary: the Schroedinger residual reads the U^dagger psi that its step
+    computed.  Per-step cost is the difference between a 100-step and a 50-step run."""
     calls = []
-    unitary = EvolutionEngine.unitary
+    unitary, certify = EvolutionEngine.unitary, EvolutionEngine._certify
 
     def counting(engine, t, step=None):
         calls.append(t)
         return unitary(engine, t, step)
 
-    monkeypatch.setattr(EvolutionEngine, "unitary", counting)
+    def counting_rows(engine, times, step):
+        calls.extend(times)
+        return certify(engine, times, step)
+
+    if (picture, state) == ("schrodinger", "pure"):
+        monkeypatch.setattr(EvolutionEngine, "_certify", counting_rows)
+    else:
+        monkeypatch.setattr(EvolutionEngine, "unitary", counting)
     totals = []
     for steps in (50, 100):
         calls.clear()
