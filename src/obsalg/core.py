@@ -105,7 +105,7 @@ def _gate(residual, bound: float, message: Callable[[float], str]) -> None:
     failing row, which the message names.
     """
     ok = residual <= bound
-    if ok if isinstance(ok, bool) else ok.all():
+    if ok if isinstance(ok, (bool, np.bool_)) else ok.all():
         return
     residual = np.asarray(residual)
     j = int(np.argmin(np.ravel(ok)))

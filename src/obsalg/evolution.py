@@ -9,12 +9,13 @@ the unitary ``U(t) = exp(i (tau/hbar) H(t))``:
 For explicitly time-dependent H the step evaluates H at the step's start
 time (left-point rule; first order by design, matching the two-step split
 for explicit time dependence).  Per-step picture duality
-<D|U O U^dagger> = <U^dagger D U|O> is exact.  Over the grid O(t_m) =
-V_m O V_m^dagger, and :meth:`EvolutionEngine.heisenberg_frames` is the only
-place that multiplies step unitaries into V_m, so it alone sets their time
-order.  It accumulates the anti-time-ordered V_{m+1} = U_m V_m, so a driven
-Heisenberg run of length T differs from the Schroedinger run by the second
-Magnus term (1/2) int int [H(t1), H(t2)]: O(T^2), not shrinking with tau.
+<D|U O U^dagger> = <U^dagger D U|O> is exact.  Over the grid O(t_m) = V_m O
+V_m^dagger; a constant H's V_m = U^m is read in closed form.  Only
+:meth:`EvolutionEngine.heisenberg_frames` multiplies step unitaries into V_m,
+so it alone sets their time order.  It accumulates the anti-time-ordered
+V_{m+1} = U_m V_m, so a driven Heisenberg run of length T differs from the
+Schroedinger run by the second Magnus term (1/2) int int [H(t1), H(t2)]:
+O(T^2), not shrinking with tau.
 
 The left-point rule reads H only at grid times known in advance, so a run
 reads H at a whole chunk of them as one stack (:meth:`Hamiltonian.values`)
@@ -50,6 +51,8 @@ from .core import (
     _conjugate,
     _frozen,
     _gate,
+    _spectral_apply,
+    _spectral_frame,
     as_observable,
     commutator,
     hermiticity_defect,
@@ -216,6 +219,7 @@ class EvolutionEngine:
         self._unitaries: dict[float, tuple[dict, np.ndarray]] = {}
         # largest ||U^dagger U - 1|| over the grid-step unitaries certified so far
         self.max_grid_defect = 0.0
+        self.eigenframe = None  # (F, theta) of a constant H's U = F e^{i theta} F^dagger
 
     @property
     def dim(self) -> int:
@@ -269,25 +273,41 @@ class EvolutionEngine:
             g = h * complex(step / self.hbar)
         if not np.isfinite(g).all():
             raise AlgebraError("observable entries are not finite")
-        u = unitary_exponential(g)
-        del g  # not held beside the defect's temporaries
         grid_step = step == self.grid.tau
+        keep = grid_step and not self.hamiltonian.time_dependent  # U keeps its eigenframe
+        frame, theta, _ = _spectral_frame(g) if keep else (None,) * 3
+        u = _spectral_apply(frame, np.exp(1j * theta)) if keep else unitary_exponential(g)
+        del g  # not held beside the defect's temporaries
         defect = _unitary_defects(u, self.max_grid_defect if grid_step else TOL_RECON)
         _gate(defect, TOL_RECON, lambda value: f"evolution unitary defect {value:.3e}")
         if grid_step:
             self.max_grid_defect = max(self.max_grid_defect, float(np.max(defect)))
+        if keep:
+            self.eigenframe = frame[0], _frozen(theta[0])
         return _frozen(u)
 
-    def heisenberg_frames(self) -> Iterator[tuple[float, np.ndarray]]:
-        """(t_m, V_m) over the grid, V_0 = 1 and V_{m+1} = U(t_m) V_m: O(t_m) = V_m O V_m^dagger.
+    def propagators(self, rows) -> np.ndarray:
+        """U(t_m - t0) = F e^{i m theta} F^dagger = U^m of a constant H, one per m of ``rows``:
+        F and theta (the cluster means of tau*lambda/hbar) are the frame of the certified
+        grid-step U, so m = 1 gives U by the product that formed it."""
+        f, theta = self.eigenframe
+        return _spectral_apply(f, np.exp(1j * np.multiply.outer(rows, theta)))
 
-        The only product of step unitaries, so it alone sets their time order.
-        """
-        v = np.eye(self.dim, dtype=complex)
-        times = self.grid.times()
-        for t in times[:-1].tolist():
+    def heisenberg_frames(self) -> Iterator[tuple[float, np.ndarray]]:
+        """(t_m, V_m) over the grid, O(t_m) = V_m O V_m^dagger: V_0 = 1, then for a constant H
+        V_m = U^m (:meth:`propagators`, up to 128 KiB of frames a call), else V_{m+1} =
+        U(t_m) V_m, the only product of step unitaries, so it alone sets their time order."""
+        times, v = self.grid.times(), np.eye(self.dim, dtype=complex)
+        block, held = max(1, 2 ** 13 // self.dim ** 2), []  # 128 KiB of constant-H frames
+        for m, t in enumerate(times[:-1].tolist(), 1):
             yield t, v
-            v = self.unitary(t).entries @ v
+            if self.hamiltonian.time_dependent:
+                v = self.unitary(t).entries @ v
+                continue
+            if not len(held):  # U is certified first, with its eigenframe, if no step has
+                self.unitary(t)
+                held = self.propagators(np.arange(m, min(m + block, len(times))))
+            v, held = held[0], held[1:]
         yield float(times[-1]), v
 
 

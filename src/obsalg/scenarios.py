@@ -37,12 +37,13 @@ from .evolution import (
     von_neumann_step,
     von_neumann_step_residual,
 )
-from .expr import EvalContext, ExprEvalError, ObservableExpr
+from .expr import EvalContext, ExprEvalError, ObservableExpr, references_time
 from .rand import random_hermitian
 from .report import CheckReport
 from .serialize import (SchemaError, _check_type, _expression, _integer, _number, _require,
                         load_json, matrix_from_doc, vector_from_doc)
-from .states import DensityObservable, StateVector, expectation, pure_density, unit_amplitudes
+from .states import (DensityObservable, StateVector, expectation, pure_density, unit_amplitudes,
+                     unit_traces)
 
 
 _NAME = re.compile(r"[A-Za-z0-9_.-]{1,100}")
@@ -259,8 +260,8 @@ class ScenarioResult:
         return [row[idx] for row in self.rows]
 
 
-# per stacked d x d complex array of a trajectory chunk: 8 steps at d = 32, enough to
-# amortize a chunk's fixed Python and NumPy cost; one step from d = 128 on
+# per stacked d x d complex array of a trajectory chunk (d complex for a row-sized one): 8
+# steps at d = 32, enough to amortize a chunk's fixed Python and NumPy cost; one from d = 128
 CHUNK_BYTES = 128 * 2 ** 10
 
 
@@ -275,18 +276,18 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     the engine's frames.  Each traced value at every row, and H at every t the run
     steps from (before its unitary), must be Hermitian.
 
-    Every value the run reads goes through :func:`_rows`.  The grid is walked in
-    chunks of ``CHUNK_BYTES // (16 d^2)`` steps.  Per chunk, H at the times the steps
-    start from and the traced values that reference t (the others are read once, at
-    t0) are read as stacks, and the engine certifies the chunk's step unitaries as one
-    stack, in one ``eigh`` call.  Row by row the run then only takes V_m from the
-    engine's frames or steps the state, a pure state by that stack's U^dagger (taken per
-    chunk, or per run for a constant H); the rest is computed on the chunk's stacks.  A
-    read or a unitary that fails is read again one row at a time, so the first failure
-    in row order is reported; a row's unitary reads the H(t) that row kept.  The checks
-    one step from t0 run once the first chunk, which holds H(t0) and U(t0), is read;
-    those over the whole run, at the end.  An evaluation that fails off the grid (checks,
-    dO/dt) names its field and t too.  The outputs are byte-identical for any chunk length.
+    Every value the run reads goes through :func:`_rows`.  The grid is walked in chunks of
+    ``CHUNK_BYTES // (16 d^2)`` steps (``// (16 d)`` for a pure Schroedinger state if neither H
+    nor a traced value references t).  Per chunk, H at the times the steps start from and the
+    traced values that reference t (the others are read once, at t0) are read as stacks, and a
+    time-dependent H's step unitaries are certified as one stack, in one ``eigh`` call.  Row by
+    row the run then only takes V_m from the engine's frames or steps the state by that stack's
+    U^dagger; a constant H's states are read in closed form (``propagators``), the rest
+    computed on the chunk's stacks.  A read or a unitary that fails is read again row by row,
+    so the first failure in row order is reported; a row's unitary reads the H(t) that row
+    kept.  The checks one step from t0 run once the first chunk (H(t0), U(t0)) is read, those
+    over the whole run at the end.  An evaluation that fails off the grid (checks, dO/dt) names
+    its field and t too.  The outputs are byte-identical for any chunk length.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
@@ -305,7 +306,9 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     pure = isinstance(initial, StateVector)
     heisenberg = config.picture == "heisenberg"
     d, last, tau, times = engine.dim, engine.grid.steps, engine.grid.tau, engine.grid.times()
-    size = min(last, max(1, CHUNK_BYTES // (16 * d ** 2)))
+    row_sized = pure and not heisenberg and not any(
+        map(references_time, (ham.expr, *traced.values())))
+    size = min(last, max(1, CHUNK_BYTES // (16 * (d if row_sized else d ** 2))))
     # a chunk's frames, states and unnormalized U^dagger psi; its last row starts the next
     frames = engine.heisenberg_frames() if heisenberg else None
     vs = np.empty((size + 1, d, d), dtype=complex) if heisenberg else None
@@ -366,7 +369,7 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
         rows.extend(map(list, zip(range(len(rows), len(rows) + k + final), ts,
                                   *columns[:len(traced)], residual.tolist(), drift.tolist())))
 
-    state, udag = (initial.amplitudes if pure else initial), None
+    state, norm = (initial.amplitudes if pure else initial), 1.0
     if heisenberg:
         vs[0] = next(frames)[1]
     for m0 in range(0, last, size):
@@ -374,24 +377,35 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
         h, values, us = read(m0, ts)
         if m0 == 0:  # what the checks one step from t0 read, this chunk holds
             t0_checks = _t0_checks(config, engine, initial)
-        if pure and not heisenberg and udag is None:  # once per run for a constant H
-            us = engine.unitary(ts[0]).entries[None] if us is None else us
-            udag = np.broadcast_to(us.conj().swapaxes(-1, -2), (len(ts) - 1, d, d))
-        for j, t in enumerate(ts[:-1]):
-            if heisenberg:
-                vs[j + 1] = next(frames)[1]
-            elif pure:
-                aheads[j] = ahead = udag[j] @ state
-                states[j + 1] = state = unit_amplitudes(ahead)
-            else:
-                state = von_neumann_step(engine, state, t)
-                states[j + 1] = state.matrix.entries
+        k, m = len(ts) - 1, np.arange(m0 + 1, m0 + len(ts))
+        if heisenberg or ham.time_dependent:  # row by row: a frame, or a step by the chunk's U
+            udag = us.conj().swapaxes(-1, -2) if pure and not heisenberg else None
+            for j, t in enumerate(ts[:-1]):
+                if heisenberg:
+                    vs[j + 1] = next(frames)[1]
+                elif pure:
+                    aheads[j] = ahead = udag[j] @ state
+                    states[j + 1] = state = unit_amplitudes(ahead)
+                else:
+                    state = von_neumann_step(engine, state, t)
+                    states[j + 1] = state.matrix.entries
+        elif pure:  # psi~_m = U(t_m - t0)^dagger psi0 = F (e^{-i m theta} o F^dagger psi0)
+            f, theta = engine.eigenframe  # kept when the checks at t0 certified U(t0)
+            phases = np.exp(-1j * np.multiply.outer(m, theta))
+            tilde = np.matmul(f, (phases * (f.conj().T @ initial.amplitudes))[..., None])[..., 0]
+            if m0 == 0:  # by the certified U, as the checks one step from t0 read it
+                tilde[0] = engine.unitary(ts[0]).entries.conj().T @ initial.amplitudes
+            norms = np.append(norm, vecnorm(tilde))  # psi_m = psi~_m / norms[m - m0], psi_0 = psi0
+            aheads[:k] = tilde / norms[:-1, None]  # U^dagger psi_m = psi~_{m+1} / norms[m - m0]
+            states[1:k + 1], norm = unit_amplitudes(tilde), norms[-1]
+        else:  # D_m = V_m^dagger D0 V_m
+            v = engine.propagators(m)
+            states[1:k + 1] = unit_traces(v.conj().swapaxes(-1, -2) @ initial.matrix.entries @ v)
         emit(ts, h, values, m0 + size >= last)
         for chunk_array in (vs, states):
             if chunk_array is not None:
-                chunk_array[0] = chunk_array[len(ts) - 1]
-        if ham.time_dependent:  # not held beside the next chunk's unitaries
-            us = udag = None
+                chunk_array[0] = chunk_array[k]
+        us = udag = None  # not held beside the next chunk's unitaries
 
     return ScenarioResult(config, header, rows, _run_checks(engine, energy_series) + t0_checks)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AlgebraError, Observable, PseudoObservable, _conjugate, inner_product, vecnorm
+from .core import (AlgebraError, Observable, PseudoObservable, _conjugate, _gate, inner_product,
+                   vecnorm)
 from .transforms import Transformation
 
 NORM_TOL = 1e-8        # rejection threshold for unnormalized amplitudes
@@ -26,11 +27,18 @@ POSITIVITY_TOL = 1e-10 # most negative admissible density eigenvalue
 
 
 def unit_amplitudes(arr: np.ndarray) -> np.ndarray:
-    """``arr`` rescaled to unit norm; a norm off 1 by more than ``NORM_TOL`` raises."""
+    """``arr``, or each row of a stack, rescaled to unit norm, which must be within NORM_TOL."""
     norm = vecnorm(arr)
-    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN amplitude fails it
-        raise AlgebraError(f"state vector is not normalized: ||psi|| = {norm!r}")
-    return arr / norm
+    _gate(abs(norm - 1.0), NORM_TOL,
+          lambda off: f"state vector is not normalized: ||psi|| is off 1 by {off!r}")
+    return arr / (norm if arr.ndim == 1 else norm[:, None])
+
+
+def unit_traces(entries: np.ndarray) -> np.ndarray:
+    """``entries``, a density's matrix or a stack of them, each gated at unit trace."""
+    _gate(abs(entries.trace(axis1=-2, axis2=-1) - 1.0), TRACE_TOL,
+          lambda off: f"density trace must be 1, is off by {off:.3e}")
+    return entries
 
 
 class StateVector:
@@ -95,9 +103,7 @@ class DensityObservable:
 
     def _hold(self, obs: Observable) -> None:
         """Gate the unit trace and store the matrix."""
-        tr = np.trace(obs.entries)
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise AlgebraError(f"density trace must be 1, got {tr!r}")
+        unit_traces(obs.entries)
         object.__setattr__(self, "matrix", obs)
 
     def __setattr__(self, name, value):

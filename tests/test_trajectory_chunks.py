@@ -27,12 +27,15 @@ SX = {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
 
 def density_doc(picture: str, state: str, hamiltonian: str, steps: int) -> dict:
     """The d=4 density_file scenario, or the same with a pure state, with an
-    explicitly time-dependent observable traced beside A, B and their current."""
+    explicitly time-dependent observable traced beside A, B and their current.  The
+    pure state "pure_untimed" traces only A, B and their current, which do not
+    reference t, so with a constant H its chunks are sized by their rows."""
     doc = json.loads((DENSITY / "density_driven_schrodinger.json").read_text())
     doc.update(name="chunks", picture=picture, hamiltonian=hamiltonian,
                grid={"tau": 0.05, "steps": steps})
-    doc["observables_to_trace"] = {**doc["observables_to_trace"], "o": "cos(t)*A + t*B"}
-    doc["initial_state"] = ([0.6, [0, 0.8], 0, 0] if state == "pure"
+    if state != "pure_untimed":
+        doc["observables_to_trace"] = {**doc["observables_to_trace"], "o": "cos(t)*A + t*B"}
+    doc["initial_state"] = ([0.6, [0, 0.8], 0, 0] if state.startswith("pure")
                             else {"density_file": str(DENSITY / "rho.json")})
     return doc
 
@@ -58,7 +61,7 @@ def run_outputs(tmp_path: Path, doc: dict, label: str) -> tuple[int, bytes, byte
 
 
 @pytest.mark.parametrize("picture", PICTURES)
-@pytest.mark.parametrize("state", ["pure", "density"])
+@pytest.mark.parametrize("state", ["pure", "density", "pure_untimed"])
 @pytest.mark.parametrize("hamiltonian", ["A + 0.5*B", "A + cos(nu*t)*B"],
                          ids=["constant", "driven"])
 def test_outputs_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch, picture, state,
