@@ -19,8 +19,11 @@ O(T^2), not shrinking with tau.
 
 The left-point rule reads H only at grid times known in advance, so a run
 reads H at a whole chunk of them as one stack (:meth:`Hamiltonian.values`)
-and certifies their unitaries as one stack, in one ``eigh`` call, which a
-pure state's steps read (:meth:`EvolutionEngine.step_unitaries`).  H's memo
+and certifies their unitaries as one stack, which a pure state's steps read
+(:meth:`EvolutionEngine.step_unitaries`).  Wherever theta =
+||((tau/hbar) H(t))^2||_1^(1/2) <= 1, the continuum limit, a step's U is a
+Taylor polynomial whose remainder is below 2^-53, with no eigendecomposition;
+elsewhere it takes one ``eigh`` per stack (:func:`_taylor_exponential`).  H's memo
 keeps one read per expression and the engine one unitary cache, each holding
 one chunk, from which ``EvolutionEngine.unitary`` serves every other step.
 
@@ -35,6 +38,7 @@ the same checks, passing the ||H(t0)|| it takes once as ``h_norm``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
@@ -74,6 +78,103 @@ from .transforms import _unitary_defects, unitary_exponential
 
 PICTURES = ("heisenberg", "schrodinger")
 REGIME_BOUND = 0.5  # tau*||H||/hbar beyond which difference quotients leave the continuum
+
+
+def _taylor_radius(m: int) -> float:
+    """The largest float theta whose Taylor remainder bound
+    r_m(theta) = theta^(m+1)/(m+1)! (1 - theta/(m+2))^-1 is at most 2^-53, compared exactly
+    in integers (theta = a/b): bisection over the floats of [0, 2]."""
+    def within(theta: float) -> bool:
+        a, b = theta.as_integer_ratio()
+        return 2 ** 53 * a ** (m + 1) * (m + 2) <= (
+            b ** m * math.factorial(m + 1) * ((m + 2) * b - a))
+
+    lo, hi = 0.0, 2.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if within(mid) else (lo, mid)
+    return lo
+
+
+# TAYLOR_RADII[m - 1] = _taylor_radius(m): degree 9 covers theta = 0.1 and 18 covers theta = 1
+TAYLOR_RADII = np.array([_taylor_radius(m) for m in range(1, 19)])
+
+
+def _taylor_exponential(g: np.ndarray) -> np.ndarray:
+    """e^{iG} for each matrix of the stack ``g`` = (step/hbar) H(t), certified Hermitian and
+    finite by the caller: a Taylor polynomial in X = iG wherever its remainder is below 2^-53.
+
+    Per row, theta = ||X^2||_1^(1/2) bounds ||X||_2, since G is Hermitian (||X||_2^2 =
+    ||X^2||_2 <= ||X^2||_1); X^2 is the first power the polynomial needs.  The degree m is
+    the smallest whose remainder bound holds (``TAYLOR_RADII``):
+
+        ||e^X - T_m(X)||_2 <= sum_{k>m} theta^k/k!
+                           <= theta^(m+1)/(m+1)! (1 - theta/(m+2))^-1 <= 2^-53,
+
+    the geometric series bounding the tail (Moler & Van Loan, SIAM Rev. 45, 2003).  theta is
+    read from the computed X^2, whose rounding moves the bound by a relative O(m d u).  T_m is
+    evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) in blocks of s powers of G,
+    (s - 1) + (ceil((m+1)/s) - 1) products.  A term's path takes at most m - 1 products, each
+    within gamma_{d+2} |A||B| (complex inner products; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 3.6), and m + 2 other roundings (its coefficient, its
+    scaling and its sums), so |U - T_m(X)| <= gamma_{(m+1)(d+3)} sum_k |G|^k/k! entrywise
+    (Higham, Functions of Matrices, 2008, thm. 4.5).  That sum is symmetric, so its 2-norm is
+    at most its 1-norm, which |.| leaves unchanged, and u = 2^-53 gives
+
+        ||U - e^X||_2 <= 2^-53 + gamma_{(m+1)(d+3)} e^{||G||_1},  gamma_n = n u / (1 - n u).
+
+    A row with theta > 1, or a theta that is not finite, takes :func:`unitary_exponential`,
+    bit for bit.  A row's path and degree read only its theta, and each run of consecutive
+    rows of one path and degree is evaluated as one view of the stack, so a row's bits do
+    not depend on its chunk.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # such a theta takes the eigh path
+        g2 = g @ g
+        theta = np.sqrt(np.max(np.sum(np.abs(g2), axis=-2), axis=-1))
+    degrees = np.where(theta <= 1.0, np.searchsorted(TAYLOR_RADII, theta) + 1, 0)
+    cuts = [0, *(np.flatnonzero(np.diff(degrees)) + 1).tolist(), len(g)]
+    if len(cuts) == 2 and not degrees[0]:
+        del g2  # not held beside the eigendecomposition
+        return unitary_exponential(g)
+    u = np.empty_like(g)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if degrees[a]:
+            _taylor_polynomial(g[a:b], g2[a:b], int(degrees[a]), u[a:b])
+        else:
+            u[a:b] = unitary_exponential(g[a:b])
+    return u
+
+
+def _taylor_polynomial(g: np.ndarray, g2: np.ndarray, m: int, out: np.ndarray) -> None:
+    """T_m(iG) = sum_{k<=m} i^k G^k / k! into ``out``, for a stack ``g`` and its square ``g2``:
+    blocks of s powers (s from 2, with the fewest products, then the fewest powers held),
+    summed into the Horner recurrence Y <- Y G^s + B_i from the top block down."""
+    s = min(range(2, m + 2), key=lambda s: (s - 1 + -(-(m + 1) // s), s))
+    blocks = -(-(m + 1) // s)
+    powers = [None, g, g2]
+    while len(powers) <= s:
+        powers.append(powers[-1] @ g)
+    # the accumulator alternates between two buffers so that it ends in ``out``; the other
+    # one holds each scaled power between the products
+    acc, other = (out, np.empty_like(out)) if blocks % 2 else (np.empty_like(out), out)
+    for i in range(blocks - 1, -1, -1):
+        terms = range(1, min(s, m + 1 - i * s))  # the powers of block i but the identity
+        if i < blocks - 1:
+            np.matmul(acc, powers[s], out=other)
+            acc, other = other, acc
+        elif terms:  # the top block starts from its highest term
+            np.multiply(powers[terms[-1]], _taylor_coefficient(i * s + terms[-1]), out=acc)
+            terms = terms[:-1]
+        else:
+            acc[...] = 0
+        for j in terms:
+            np.multiply(powers[j], _taylor_coefficient(i * s + j), out=other)
+            acc += other
+        np.einsum("...ii->...i", acc)[...] += _taylor_coefficient(i * s)
+
+
+def _taylor_coefficient(k: int) -> complex:
+    """i^k / k!, exactly real or imaginary."""
+    return (1, 1j, -1, -1j)[k % 4] / math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -244,9 +345,10 @@ class EvolutionEngine:
         return PseudoObservable._view(stack[held[key]])
 
     def step_unitaries(self, times) -> np.ndarray | None:
-        """Certify U(t) at the grid step for each of ``times`` as one read-only stack and
-        return it; it is then all the cache holds, everything it held dropped first.  A
-        constant H's U is certified once, when a step asks for it: None is returned."""
+        """Certify U(t) at the grid step for each of ``times`` as one read-only stack (Taylor
+        polynomials, with no eigendecomposition, wherever theta <= 1) and return it; it is
+        then all the cache holds, everything it held dropped first.  A constant H's U is
+        certified once, when a step asks for it: None is returned."""
         if self.hamiltonian.time_dependent and len(times):
             times = tuple(float(t) for t in times)
             self._unitaries = {}  # never two chunks alive together
@@ -258,8 +360,12 @@ class EvolutionEngine:
     def _certify(self, times: tuple[float, ...], step: float) -> np.ndarray:
         """exp(i (step/hbar) H(t)) for each of ``times``, as one certified read-only stack.
 
-        Each matrix is gated as one step's U: H(t) Hermitian, (step/hbar) H(t) finite,
-        the spectral kernel's certificates and ||U^dagger U - 1|| <= TOL_RECON.  The
+        A time-dependent H's U is :func:`_taylor_exponential`, at any step: where theta =
+        ||((step/hbar) H(t))^2||_1^(1/2) <= 1, a Taylor polynomial whose remainder bound,
+        at most 2^-53, is its certificate; elsewhere the spectral kernel, as a constant H's
+        U.  A constant H's grid-step U keeps its eigenframe (``eigenframe``).  Each matrix
+        is gated as one step's U: H(t) Hermitian, (step/hbar) H(t) finite, the spectral
+        kernel's certificates where it ran and ||U^dagger U - 1|| <= TOL_RECON.  The
         defect's SVD is taken only on the rows whose bound on it exceeds the floor it
         must pass to matter: ``max_grid_defect`` for a grid step, TOL_RECON for any
         other (:func:`obsalg.transforms._unitary_defects`).  A pruned row's defect is at
@@ -276,7 +382,8 @@ class EvolutionEngine:
         grid_step = step == self.grid.tau
         keep = grid_step and not self.hamiltonian.time_dependent  # U keeps its eigenframe
         frame, theta, _ = _spectral_frame(g) if keep else (None,) * 3
-        u = _spectral_apply(frame, np.exp(1j * theta)) if keep else unitary_exponential(g)
+        u = _spectral_apply(frame, np.exp(1j * theta)) if keep else (
+            _taylor_exponential if self.hamiltonian.time_dependent else unitary_exponential)(g)
         del g  # not held beside the defect's temporaries
         defect = _unitary_defects(u, self.max_grid_defect if grid_step else TOL_RECON)
         _gate(defect, TOL_RECON, lambda value: f"evolution unitary defect {value:.3e}")

@@ -280,7 +280,8 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     ``CHUNK_BYTES // (16 d^2)`` steps (``// (16 d)`` for a pure Schroedinger state if neither H
     nor a traced value references t).  Per chunk, H at the times the steps start from and the
     traced values that reference t (the others are read once, at t0) are read as stacks, and a
-    time-dependent H's step unitaries are certified as one stack, in one ``eigh`` call.  Row by
+    time-dependent H's step unitaries are certified as one stack (Taylor polynomials in the
+    continuum regime, otherwise one ``eigh`` call; ``EvolutionEngine.step_unitaries``).  Row by
     row the run then only takes V_m from the engine's frames or steps the state by that stack's
     U^dagger; a constant H's states are read in closed form (``propagators``), the rest
     computed on the chunk's stacks.  A read or a unitary that fails is read again row by row,

@@ -173,14 +173,14 @@ def test_unitary_defect_gate_names_the_failing_row(rng, monkeypatch):
 
     ctx = EvalContext(dim=4, operators={"A": random_hermitian(rng, 4)})
     engine = EvolutionEngine(Hamiltonian("cos(t)*A", ctx), TimeGrid(0.05, 6))
-    real = evolution.unitary_exponential
+    real = evolution._taylor_exponential
 
     def spoiled(g):
         u = real(g).copy()
         u[3] *= 1.01
         return u
 
-    monkeypatch.setattr(evolution, "unitary_exponential", spoiled)
+    monkeypatch.setattr(evolution, "_taylor_exponential", spoiled)
     with pytest.raises(AlgebraError, match=r"^evolution unitary defect .* \(stack row 3\)$"):
         engine.step_unitaries(engine.grid.times().tolist()[:-1])
 
@@ -195,7 +195,7 @@ def _planting(monkeypatch, sizes: dict[int, float], d: int,
     times the defect at rank two).  Returns the list that records every U certified."""
     from obsalg import evolution
 
-    real = evolution.unitary_exponential
+    real = evolution._taylor_exponential
     certified: list[np.ndarray] = []
 
     def planted(g):
@@ -207,7 +207,7 @@ def _planting(monkeypatch, sizes: dict[int, float], d: int,
         certified.extend(u)
         return u
 
-    monkeypatch.setattr(evolution, "unitary_exponential", planted)
+    monkeypatch.setattr(evolution, "_taylor_exponential", planted)
     return certified
 
 
@@ -305,14 +305,14 @@ def test_a_nan_unitary_raises_as_its_defect_does(rng, monkeypatch, walk):
     from obsalg import evolution
 
     engine = _driven_engine(rng, 4, 6)
-    real = evolution.unitary_exponential
+    real = evolution._taylor_exponential
 
     def spoiled(g):
         u = real(g).copy()
         u[-1, 0, 1] = np.nan
         return u
 
-    monkeypatch.setattr(evolution, "unitary_exponential", spoiled)
+    monkeypatch.setattr(evolution, "_taylor_exponential", spoiled)
     times = engine.grid.times().tolist()[:-1]
     with pytest.raises(AlgebraError, match=r"^no spectral norm: the SVD failed on a non-finite "
                                            r"entry$"):
