@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from .audit import MAX_DIM, run_audit
 from .canonical import MAX_LEVELS, commutator_limit_probe
 from .core import AlgebraError
 from .evolution import TimeGrid
-from .scenarios import config_from_doc, run_scenario
+from .scenarios import ScenarioResult, config_from_doc, run_scenario, trace_scenario
 from .serialize import SchemaError, _number, dump_json, load_json, write_csv
 
 EXIT_OK = 0
@@ -60,12 +62,16 @@ def _integers(minimum: int, single: bool = False, maximum: int | None = None):
 def cmd_run(args) -> int:
     doc, base_dir = _resolve_config(args.config)
     config = config_from_doc(doc, base_dir)
-    result = run_scenario(config, base_dir)
+    header, rows, checks = trace_scenario(config, base_dir)
     outdir = Path(args.out) if args.out else _default_outdir()
-    outdir.mkdir(parents=True, exist_ok=True)  # only once the run succeeded
     trace_path = outdir / f"{config.name}_trace.csv"
     audit_path = outdir / f"{config.name}_audit.json"
-    write_csv(trace_path, result.header, result.rows)
+    # the trace is written as the run computes it, and copied to --out once the run succeeded
+    with tempfile.TemporaryDirectory() as scratch:
+        write_csv(Path(scratch) / trace_path.name, header, rows)
+        outdir.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(Path(scratch) / trace_path.name, trace_path)
+    result = ScenarioResult(config, header, [], checks)  # its rows are in the trace
     dump_json(audit_path, result.audit_doc())
     print(f"trace: {trace_path}")
     print(f"audit: {audit_path}")

@@ -9,23 +9,21 @@ the unitary ``U(t) = exp(i (tau/hbar) H(t))``:
 For explicitly time-dependent H the step evaluates H at the step's start
 time (left-point rule; first order by design, matching the two-step split
 for explicit time dependence).  Per-step picture duality
-<D|U O U^dagger> = <U^dagger D U|O> is exact.  Over the grid O(t_m) = V_m O
-V_m^dagger; a constant H's V_m = U^m is read in closed form.  Only
-:meth:`EvolutionEngine.heisenberg_frames` multiplies step unitaries into V_m,
-so it alone sets their time order.  It accumulates the anti-time-ordered
-V_{m+1} = U_m V_m, so a driven Heisenberg run of length T differs from the
-Schroedinger run by the second Magnus term (1/2) int int [H(t1), H(t2)]:
-O(T^2), not shrinking with tau.
+<D|U O U^dagger> = <U^dagger D U|O> is exact.
 
-The left-point rule reads H only at grid times known in advance, so a run
-reads H at a whole chunk of them as one stack (:meth:`Hamiltonian.values`)
-and certifies their unitaries as one stack, which a pure state's steps read
-(:meth:`EvolutionEngine.step_unitaries`).  Wherever theta =
-||((tau/hbar) H(t))^2||_1^(1/2) <= 1, the continuum limit, a step's U is a
-Taylor polynomial whose remainder is below 2^-53, with no eigendecomposition;
-elsewhere it takes one ``eigh`` per stack (:func:`_taylor_exponential`).  H's memo
-keeps one read per expression and the engine one unitary cache, each holding
-one chunk, from which ``EvolutionEngine.unitary`` serves every other step.
+The left-point rule reads H only at grid times known in advance, so the grid is walked in
+chunks by :meth:`EvolutionEngine.trajectory`, the one walk that the trace and the whole-run
+checks read.  Per chunk it reads H as one stack (:meth:`Hamiltonian.values`) and certifies the
+step unitaries as one stack (:meth:`EvolutionEngine._certify`): wherever theta =
+||((tau/hbar) H(t))^2||_1^(1/2) <= 1, the continuum limit, a step's U is a Taylor polynomial
+whose remainder is below 2^-53, with no eigendecomposition; elsewhere it takes one ``eigh`` per
+stack (:func:`_taylor_exponential`).  It also forms the frames, O(t_m) = V_m O V_m^dagger, a
+constant H's V_m = U^m in closed form, and it alone multiplies step unitaries into V_m, so it
+alone sets their time order.  It accumulates the anti-time-ordered V_{m+1} = U_m V_m, so a
+driven Heisenberg run of length T differs from the Schroedinger run by the second Magnus term
+(1/2) int int [H(t1), H(t2)]: O(T^2), not shrinking with tau.  H's memo keeps one read per
+expression and the engine one unitary cache, each holding one chunk, from which
+``EvolutionEngine.unitary`` serves every other step.
 
 Difference-quotient residuals against the continuous equations of motion
 (Heisenberg, Schroedinger, von Neumann) are first order in tau.  Each
@@ -41,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,6 +76,9 @@ from .transforms import _unitary_defects, unitary_exponential
 
 PICTURES = ("heisenberg", "schrodinger")
 REGIME_BOUND = 0.5  # tau*||H||/hbar beyond which difference quotients leave the continuum
+# per stacked d x d complex array of a trajectory chunk (d complex for a row-sized one): 8
+# steps at d = 32, enough to amortize a chunk's fixed Python and NumPy cost; one from d = 128
+CHUNK_BYTES = 128 * 2 ** 10
 
 
 def _taylor_radius(m: int) -> float:
@@ -299,12 +300,23 @@ class Hamiltonian:
         return as_observable(self.value(self.expr, t))
 
 
+class Chunk(NamedTuple):
+    """Grid rows m0 .. m0 + k of a trajectory; the last one starts the next chunk."""
+
+    m0: int
+    times: list[float]  # t_m of the k + 1 rows
+    reads: Any  # what the consumer's read of the rows returned
+    h: np.ndarray  # H at the k rows that start a step: one row for a constant H
+    unitaries: np.ndarray | None  # their certified U: None for a constant H
+    frames: np.ndarray | None  # V_m at the k + 1 rows, when asked for
+
+
 class EvolutionEngine:
     """Hamiltonian + time grid + picture; produces steps and residual audits.
 
     Step unitaries are kept in one cache, by step size and time.
-    :meth:`step_unitaries` replaces it with the grid-step unitaries of one
-    chunk, certified as one stack.  Any other U is certified on its own and
+    :meth:`trajectory` replaces it with the grid-step unitaries of one chunk,
+    certified as one stack.  Any other U is certified on its own and
     kept at its step size: for a constant H once per run, for a time-dependent
     H only at the latest t.  So memory stays flat in the step count.
     """
@@ -334,7 +346,7 @@ class EvolutionEngine:
         """U = exp(i (step/hbar) H(t)); step defaults to the grid tau.
 
         Every U is certified against TOL_RECON when it is computed.  A grid-step
-        U of the chunk :meth:`step_unitaries` certified is read from the cache.
+        U of the chunk :meth:`trajectory` certified is read from the cache.
         """
         step = self.grid.tau if step is None else float(step)
         key = t if self.hamiltonian.time_dependent else None
@@ -343,19 +355,6 @@ class EvolutionEngine:
             self._unitaries.pop(step, None)  # not held beside its replacement
             held, stack = self._unitaries[step] = {key: 0}, self._certify((t,), step)
         return PseudoObservable._view(stack[held[key]])
-
-    def step_unitaries(self, times) -> np.ndarray | None:
-        """Certify U(t) at the grid step for each of ``times`` as one read-only stack (Taylor
-        polynomials, with no eigendecomposition, wherever theta <= 1) and return it; it is
-        then all the cache holds, everything it held dropped first.  A constant H's U is
-        certified once, when a step asks for it: None is returned."""
-        if self.hamiltonian.time_dependent and len(times):
-            times = tuple(float(t) for t in times)
-            self._unitaries = {}  # never two chunks alive together
-            _, stack = self._unitaries[self.grid.tau] = ({t: j for j, t in enumerate(times)},
-                                                         self._certify(times, self.grid.tau))
-            return stack
-        return None
 
     def _certify(self, times: tuple[float, ...], step: float) -> np.ndarray:
         """exp(i (step/hbar) H(t)) for each of ``times``, as one certified read-only stack.
@@ -393,29 +392,56 @@ class EvolutionEngine:
             self.eigenframe = frame[0], _frozen(theta[0])
         return _frozen(u)
 
-    def propagators(self, rows) -> np.ndarray:
-        """U(t_m - t0) = F e^{i m theta} F^dagger = U^m of a constant H, one per m of ``rows``:
-        F and theta (the cluster means of tau*lambda/hbar) are the frame of the certified
-        grid-step U, so m = 1 gives U by the product that formed it."""
-        f, theta = self.eigenframe
-        return _spectral_apply(f, np.exp(1j * np.multiply.outer(rows, theta)))
+    def trajectory(self, size: int | None = None, frames: bool = False,
+                   read=lambda m0, times: None) -> Iterator[Chunk]:
+        """The grid in chunks of at most ``size`` steps (default ``CHUNK_BYTES // (16 d^2)``),
+        computing each chunk's times t0 + tau*arange(m0, m0 + k + 1), bitwise the rows of
+        :meth:`TimeGrid.times`: nothing held grows with the step count.
 
-    def heisenberg_frames(self) -> Iterator[tuple[float, np.ndarray]]:
-        """(t_m, V_m) over the grid, O(t_m) = V_m O V_m^dagger: V_0 = 1, then for a constant H
-        V_m = U^m (:meth:`propagators`, up to 128 KiB of frames a call), else V_{m+1} =
-        U(t_m) V_m, the only product of step unitaries, so it alone sets their time order."""
-        times, v = self.grid.times(), np.eye(self.dim, dtype=complex)
-        block, held = max(1, 2 ** 13 // self.dim ** 2), []  # 128 KiB of constant-H frames
-        for m, t in enumerate(times[:-1].tolist(), 1):
-            yield t, v
-            if self.hamiltonian.time_dependent:
-                v = self.unitary(t).entries @ v
-                continue
-            if not len(held):  # U is certified first, with its eigenframe, if no step has
-                self.unitary(t)
-                held = self.propagators(np.arange(m, min(m + block, len(times))))
-            v, held = held[0], held[1:]
-        yield float(times[-1]), v
+        ``read(m0, times)``, the consumer's own reads of the rows, runs first, then a
+        time-dependent H's k step unitaries are certified as one stack, with no
+        eigendecomposition wherever theta <= 1, and replace the cache; if either fails, the
+        rows are walked again one at a time, ``read(m, [t_m])`` then U(t_m), so the first
+        failure in row order is raised.  ``frames`` asks for the Heisenberg frames, O(t_m) =
+        V_m O V_m^dagger, V_0 = 1: for a constant H, V_m = F e^{i m theta} F^dagger = U^m with
+        F and theta (the cluster means of tau*lambda/hbar) the ``eigenframe`` of the certified
+        grid-step U, so V_1 is U by the product that formed it; else V_{m+1} = U(t_m) V_m from
+        the chunk's stack, the only product of step unitaries, so this alone sets their order.
+        """
+        ham, grid, d = self.hamiltonian, self.grid, self.dim
+        size = size or max(1, CHUNK_BYTES // (16 * d * d))
+        v = np.eye(d, dtype=complex)
+        for m0 in range(0, grid.steps, size):
+            k = min(size, grid.steps - m0)
+            times = (grid.t0 + grid.tau * np.arange(m0, m0 + k + 1)).tolist()
+            us = None  # a constant H's U is certified once, when a step asks for it
+            try:
+                reads = read(m0, times)
+                if ham.time_dependent:  # the cache then holds this chunk's unitaries only
+                    self._unitaries = {}  # never two chunks alive together
+                    us = self._certify(tuple(times[:-1]), grid.tau)
+                    self._unitaries[grid.tau] = ({t: j for j, t in enumerate(times[:-1])}, us)
+            except (AlgebraError, ArithmeticError, Warning):
+                for j, t in enumerate(times):  # one row at a time: the first failure in row order
+                    read(m0 + j, [t])
+                    if j < k:
+                        self.unitary(t)  # reads the H(t) just kept
+                raise
+            vs = None
+            if frames:
+                vs = np.empty((k + 1, d, d), dtype=complex)
+                vs[0] = v
+                if us is None:
+                    self.unitary(times[0])  # U certified with its eigenframe, if no step has
+                    f, theta = self.eigenframe
+                    vs[1:] = _spectral_apply(
+                        f, np.exp(1j * np.multiply.outer(np.arange(m0 + 1, m0 + k + 1), theta)))
+                else:
+                    for j in range(k):
+                        np.matmul(us[j], vs[j], out=vs[j + 1])
+                v = vs[k].copy()
+            yield Chunk(m0, times, reads, ham.values(ham.expr, times[:-1])[0], us, vs)
+            reads = vs = None  # not held beside the next chunk's
 
 
 # ---------------------------------------------------------------------------
@@ -586,23 +612,27 @@ def von_neumann_residual(engine: EvolutionEngine, d: DensityObservable,
 # symmetries and constants of motion
 # ---------------------------------------------------------------------------
 
+def _framed(v: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """V O V^dagger, per matrix of a stack of V."""
+    return v @ o @ v.conj().swapaxes(-1, -2)
+
+
 def symmetry_check(engine: EvolutionEngine, f: Observable) -> CheckReport:
     """Triple criterion for a continuous symmetry generated by F.
 
-    (a) e^{i xi F} H e^{-i xi F} = H for xi in 0.37, 1 and 2.5, (b) [F, H] = 0,
-    (c) zero drift ||V_m F V_m^dagger - F|| over the Heisenberg frames of the
-    grid.  Passes when the three verdicts agree at tolerance 1e-9 * scale.
+    (a) e^{i xi F} H e^{-i xi F} = H for xi in 0.37, 1 and 2.5, all three read from one
+    spectral frame of F, (b) [F, H] = 0, (c) zero drift ||V_m F V_m^dagger - F|| over the
+    Heisenberg frames of the grid, one stacked norm per chunk.  Passes when the three
+    verdicts agree at tolerance 1e-9 * scale.
     """
     f = as_observable(f)
-    t0 = engine.grid.t0
-    h = engine.hamiltonian.evaluate(t0)
-    conj_residual = 0.0
-    for xi in (0.37, 1.0, 2.5):
-        r = unitary_exponential(xi * f).entries
-        conj_residual = max(conj_residual, opnorm(r @ h.entries @ r.conj().T - h.entries))
+    h = engine.hamiltonian.evaluate(engine.grid.t0)
+    frame, columns, _ = _spectral_frame(f.entries)
+    r = _spectral_apply(frame, np.exp(1j * np.multiply.outer((0.37, 1.0, 2.5), columns)))
+    conj_residual = float(np.max(opnorm(_framed(r, h.entries) - h.entries)))
     comm_residual = opnorm(commutator(f, h).entries)
-    drift = max(opnorm(v @ f.entries @ v.conj().T - f.entries)
-                for _, v in engine.heisenberg_frames())
+    drift = max(float(np.max(opnorm(_framed(chunk.frames, f.entries) - f.entries)))
+                for chunk in engine.trajectory(frames=True))
     f_scale = max(1.0, f.norm())
     h_scale = max(1.0, h.norm())
     conj_pass = conj_residual <= 1e-9 * h_scale
@@ -621,14 +651,15 @@ def symmetry_check(engine: EvolutionEngine, f: Observable) -> CheckReport:
 
 def compatibility_persistence_check(engine: EvolutionEngine, a: Observable,
                                     b: Observable) -> CheckReport:
-    """||[V_m A V_m^dagger, V_m B V_m^dagger]|| stays constant over the Heisenberg frames."""
+    """||[V_m A V_m^dagger, V_m B V_m^dagger]|| stays constant over the Heisenberg frames,
+    one stacked norm per chunk."""
     a, b = as_observable(a), as_observable(b)
     scale = max(1.0, a.norm() * b.norm())
     initial = opnorm(commutator(a, b).entries)
     worst = 0.0
-    for _, v in engine.heisenberg_frames():
-        a_m, b_m = (v @ x.entries @ v.conj().T for x in (a, b))
-        worst = max(worst, abs(opnorm(a_m @ b_m - b_m @ a_m) - initial))
+    for chunk in engine.trajectory(frames=True):
+        a_m, b_m = (_framed(chunk.frames, x.entries) for x in (a, b))
+        worst = max(worst, float(np.max(np.abs(opnorm(a_m @ b_m - b_m @ a_m) - initial))))
     return CheckReport(
         name="compatibility_persistence",
         passed=worst <= 1e-10 * scale,

@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from .core import AlgebraError, PseudoObservable, as_observable, vecnorm
 # perfbench's test_traced_call_restores_every_wrapped_name reads scenarios.opnorm
 from .core import opnorm  # noqa: F401
 from .evolution import (
+    CHUNK_BYTES,
     PICTURES,
     REGIME_BOUND,
     EvolutionEngine,
     Hamiltonian,
     TimeGrid,
+    _framed,
     heisenberg_residual,
     heisenberg_step,
     heisenberg_step_residual,
@@ -260,13 +262,16 @@ class ScenarioResult:
         return [row[idx] for row in self.rows]
 
 
-# per stacked d x d complex array of a trajectory chunk (d complex for a row-sized one): 8
-# steps at d = 32, enough to amortize a chunk's fixed Python and NumPy cost; one from d = 128
-CHUNK_BYTES = 128 * 2 ** 10
-
-
 def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> ScenarioResult:
-    """Evolve the scenario over its grid; emit trace rows and audit checks.
+    """:func:`trace_scenario`, its rows collected."""
+    header, rows, checks = trace_scenario(config, base_dir)
+    return ScenarioResult(config, header, list(rows), checks)
+
+
+def trace_scenario(config: ScenarioConfig, base_dir: str | Path = "."
+                   ) -> tuple[list[str], Iterator[list[float]], list[CheckReport]]:
+    """Evolve the scenario over its grid: the trace header, an iterator that computes the
+    rows as it yields them, and the audit checks, a list filled once the rows run out.
 
     Trace columns: step, t, one expectation column per traced observable, the
     per-step equation-of-motion residual, and the state-invariant drift
@@ -276,19 +281,16 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     the engine's frames.  Each traced value at every row, and H at every t the run
     steps from (before its unitary), must be Hermitian.
 
-    Every value the run reads goes through :func:`_rows`.  The grid is walked in chunks of
-    ``CHUNK_BYTES // (16 d^2)`` steps (``// (16 d)`` for a pure Schroedinger state if neither H
-    nor a traced value references t).  Per chunk, H at the times the steps start from and the
-    traced values that reference t (the others are read once, at t0) are read as stacks, and a
-    time-dependent H's step unitaries are certified as one stack (Taylor polynomials in the
-    continuum regime, otherwise one ``eigh`` call; ``EvolutionEngine.step_unitaries``).  Row by
-    row the run then only takes V_m from the engine's frames or steps the state by that stack's
-    U^dagger; a constant H's states are read in closed form (``propagators``), the rest
-    computed on the chunk's stacks.  A read or a unitary that fails is read again row by row,
-    so the first failure in row order is reported; a row's unitary reads the H(t) that row
-    kept.  The checks one step from t0 run once the first chunk (H(t0), U(t0)) is read, those
-    over the whole run at the end.  An evaluation that fails off the grid (checks, dO/dt) names
-    its field and t too.  The outputs are byte-identical for any chunk length.
+    The engine and the initial state are read here, the rest as the rows are, chunk by
+    chunk of ``EvolutionEngine.trajectory`` (``CHUNK_BYTES // (16 d^2)`` steps, ``// (16 d)``
+    for a pure Schroedinger state if neither H nor a traced value references t), every value
+    through :func:`_rows`.  Per chunk the run steps a driven state row by row by the chunk's
+    U^dagger, reads a constant H's states in closed form and computes the rest on the
+    chunk's stacks.  The checks one step from t0 run once the first chunk (H(t0), U(t0)) is
+    read; at the end, the grid's unitarity and, for a constant H, energy, from E_0 and the
+    running maximum of |E_m - E_0|.  An evaluation that fails names its field and t, off
+    the grid (checks, dO/dt) too.  Nothing held grows with the step count, and the outputs
+    are byte-identical for any chunk length.
     """
     engine = build_engine(config)
     ham = engine.hamiltonian
@@ -300,61 +302,65 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
     if not ham.time_dependent and ham.expr not in traced.values():
         fields.append(("config.hamiltonian", ham.expr))
     energy_at = None if ham.time_dependent else [node for _, node in fields].index(ham.expr)
-
     header = ["step", "t", *traced.keys(), "equation_residual", "state_drift"]
-    rows: list[list[float]] = []
-    energy_series: list[float] = []
+    checks: list[CheckReport] = []
     pure = isinstance(initial, StateVector)
     heisenberg = config.picture == "heisenberg"
-    d, last, tau, times = engine.dim, engine.grid.steps, engine.grid.tau, engine.grid.times()
+    d, last, tau = engine.dim, engine.grid.steps, engine.grid.tau
     row_sized = pure and not heisenberg and not any(
         map(references_time, (ham.expr, *traced.values())))
     size = min(last, max(1, CHUNK_BYTES // (16 * (d if row_sized else d ** 2))))
-    # a chunk's frames, states and unnormalized U^dagger psi; its last row starts the next
-    frames = engine.heisenberg_frames() if heisenberg else None
-    vs = np.empty((size + 1, d, d), dtype=complex) if heisenberg else None
+    # a chunk's states and unnormalized U^dagger psi; its last row starts the next
     states = np.empty((size + 1,) + ((d,) if pure else (d, d)), dtype=complex)
     states[:] = initial.amplitudes if pure else initial.matrix.entries
     aheads = np.empty((size, d), dtype=complex) if pure and not heisenberg else None
+    state, norm = (initial.amplitudes if pure else initial), 1.0
+    e0 = energy_drift = None  # E_0 and the running maximum of |E_m - E_0|
 
-    # row 0: H, then each field in order; H's memo keeps a value that does not reference t
-    for path, node in [("config.hamiltonian", ham.expr), *fields]:
-        _rows(ham, node, times[:1].tolist(), path)
+    def read(m0: int, ts: list[float]) -> list[np.ndarray]:
+        """H at the rows ``ts`` that start a step, then each field at every row, gated (one
+        row for a value that does not reference t)."""
+        if m0 < last:
+            _rows(ham, ham.expr, ts[:last - m0], "config.hamiltonian")
+        return [_rows(ham, node, ts, path) for path, node in fields]
 
-    def read(m0: int, ts: list[float]) -> tuple[np.ndarray, list, np.ndarray | None]:
-        """H at the rows ``ts`` that start a step and each field at every row, gated (one
-        row for a value that does not reference t), then the unitaries of the steps from
-        all rows but the last (their stack, or None for a constant H)."""
-        step_times = ts[:last - m0]
-        try:
-            h = _rows(ham, ham.expr, step_times, "config.hamiltonian")[:len(ts) - 1]
-            values = [_rows(ham, node, ts, path) for path, node in fields]
-            return h, values, engine.step_unitaries(ts[:-1])
-        except (AlgebraError, ArithmeticError, Warning):
-            for m, t in enumerate(ts):  # one row at a time: the first failure in row order
-                if m < len(step_times):
-                    _rows(ham, ham.expr, [t], "config.hamiltonian")
-                for path, node in fields:
-                    _rows(ham, node, [t], path)
-                if m < len(ts) - 1:
-                    engine.unitary(t)  # reads the H(t) just kept
-            raise
-
-    def emit(ts: list[float], h: np.ndarray, values: list[np.ndarray], final: bool) -> None:
-        """The rows of a chunk but the last, which starts the next chunk."""
-        k = len(ts) - 1
+    def chunk_rows(m0: int, ts: list[float], values: list[np.ndarray], h: np.ndarray,
+                   us: np.ndarray | None, v: np.ndarray | None) -> Iterator[list[float]]:
+        """The rows of a ``Chunk`` but the last, which starts the next chunk."""
+        nonlocal state, norm, e0, energy_drift
+        k, final = len(ts) - 1, m0 + len(ts) - 1 == last
         chunk = states[:k + 1]
-        if heisenberg:
-            v = vs[:k + 1]
-            values = [v @ o @ v.conj().transpose(0, 2, 1) for o in values]
+        if heisenberg:  # the states stay and the frames move
+            values = [_framed(v, o) for o in values]
             residual = np.max([np.zeros(k)] + [  # residuals are >= 0: a 0 for no traced O
                 _for_field(path, heisenberg_step_residual,
                            engine, node, ts[:k], tau, v[:k], h, o[:k], o[1:])
                 for (path, node), o in zip(fields, values[:len(traced)])], axis=0)
-        elif pure:
-            residual = schrodinger_step_residual(engine, chunk[:k], ts[:k], tau, aheads[:k], h)
-        else:
-            residual = von_neumann_step_residual(engine, chunk[:k], chunk[1:], ts[:k], tau, h)
+        elif ham.time_dependent:  # row by row: a step by the chunk's U
+            udag = us.conj().swapaxes(-1, -2) if pure else None
+            for j, t in enumerate(ts[:-1]):
+                if pure:
+                    aheads[j] = ahead = udag[j] @ state
+                    states[j + 1] = state = unit_amplitudes(ahead)
+                else:
+                    state = von_neumann_step(engine, state, t)
+                    states[j + 1] = state.matrix.entries
+        elif pure:  # psi~_m = U(t_m - t0)^dagger psi0 = F (e^{-i m theta} o F^dagger psi0)
+            f, theta = engine.eigenframe  # kept when the checks at t0 certified U(t0)
+            phases = np.exp(-1j * np.multiply.outer(np.arange(m0 + 1, m0 + k + 1), theta))
+            tilde = np.matmul(f, (phases * (f.conj().T @ initial.amplitudes))[..., None])[..., 0]
+            if m0 == 0:  # by the certified U, as the checks one step from t0 read it
+                tilde[0] = engine.unitary(ts[0]).entries.conj().T @ initial.amplitudes
+            norms = np.append(norm, vecnorm(tilde))  # psi_m = psi~_m / norms[m - m0], psi_0 = psi0
+            aheads[:k] = tilde / norms[:-1, None]  # U^dagger psi_m = psi~_{m+1} / norms[m - m0]
+            states[1:k + 1], norm = unit_amplitudes(tilde), norms[-1]
+        else:  # D_m = V_m^dagger D0 V_m
+            v = v[1:]
+            states[1:k + 1] = unit_traces(v.conj().swapaxes(-1, -2) @ initial.matrix.entries @ v)
+        if not heisenberg:
+            residual = (schrodinger_step_residual(engine, chunk[:k], ts[:k], tau, aheads[:k], h)
+                        if pure else
+                        von_neumann_step_residual(engine, chunk[:k], chunk[1:], ts[:k], tau, h))
         if pure:
             means = [np.matmul(chunk.conj()[:, None], np.matmul(o, chunk[..., None]))[:, 0, 0]
                      for o in values]
@@ -365,50 +371,35 @@ def run_scenario(config: ScenarioConfig, base_dir: str | Path = ".") -> Scenario
             drift = np.abs(np.trace(chunk[1:], axis1=1, axis2=2).real - 1.0)
         if final:  # the last row takes no step
             residual, drift = np.append(residual, 0.0), np.append(drift, drift[-1])
-        columns = [m.real[:k + final].tolist() for m in means]
-        energy_series.extend(() if energy_at is None else columns[energy_at])
-        rows.extend(map(list, zip(range(len(rows), len(rows) + k + final), ts,
-                                  *columns[:len(traced)], residual.tolist(), drift.tolist())))
+        columns = [mean.real[:k + final].tolist() for mean in means]
+        if energy_at is not None:  # the same float as the maximum over the whole column
+            if e0 is None:
+                e0 = columns[energy_at][0]
+                energy_drift = abs(e0 - e0)
+            energy_drift = max(energy_drift, *(abs(e - e0) for e in columns[energy_at]))
+        states[0] = states[k]
+        return map(list, zip(range(m0, m0 + k + final), ts, *columns[:len(traced)],
+                             residual.tolist(), drift.tolist()))
 
-    state, norm = (initial.amplitudes if pure else initial), 1.0
-    if heisenberg:
-        vs[0] = next(frames)[1]
-    for m0 in range(0, last, size):
-        ts = times[m0:m0 + size + 1].tolist()
-        h, values, us = read(m0, ts)
-        if m0 == 0:  # what the checks one step from t0 read, this chunk holds
-            t0_checks = _t0_checks(config, engine, initial)
-        k, m = len(ts) - 1, np.arange(m0 + 1, m0 + len(ts))
-        if heisenberg or ham.time_dependent:  # row by row: a frame, or a step by the chunk's U
-            udag = us.conj().swapaxes(-1, -2) if pure and not heisenberg else None
-            for j, t in enumerate(ts[:-1]):
-                if heisenberg:
-                    vs[j + 1] = next(frames)[1]
-                elif pure:
-                    aheads[j] = ahead = udag[j] @ state
-                    states[j + 1] = state = unit_amplitudes(ahead)
-                else:
-                    state = von_neumann_step(engine, state, t)
-                    states[j + 1] = state.matrix.entries
-        elif pure:  # psi~_m = U(t_m - t0)^dagger psi0 = F (e^{-i m theta} o F^dagger psi0)
-            f, theta = engine.eigenframe  # kept when the checks at t0 certified U(t0)
-            phases = np.exp(-1j * np.multiply.outer(m, theta))
-            tilde = np.matmul(f, (phases * (f.conj().T @ initial.amplitudes))[..., None])[..., 0]
-            if m0 == 0:  # by the certified U, as the checks one step from t0 read it
-                tilde[0] = engine.unitary(ts[0]).entries.conj().T @ initial.amplitudes
-            norms = np.append(norm, vecnorm(tilde))  # psi_m = psi~_m / norms[m - m0], psi_0 = psi0
-            aheads[:k] = tilde / norms[:-1, None]  # U^dagger psi_m = psi~_{m+1} / norms[m - m0]
-            states[1:k + 1], norm = unit_amplitudes(tilde), norms[-1]
-        else:  # D_m = V_m^dagger D0 V_m
-            v = engine.propagators(m)
-            states[1:k + 1] = unit_traces(v.conj().swapaxes(-1, -2) @ initial.matrix.entries @ v)
-        emit(ts, h, values, m0 + size >= last)
-        for chunk_array in (vs, states):
-            if chunk_array is not None:
-                chunk_array[0] = chunk_array[k]
-        us = udag = None  # not held beside the next chunk's unitaries
+    def rows() -> Iterator[list[float]]:
+        read(0, [engine.grid.t0])  # row 0 first: H's memo keeps a value that does not reference t
+        # the frames, which a constant H's density reads in the Schroedinger picture too
+        for chunk in engine.trajectory(size, heisenberg or not (pure or ham.time_dependent),
+                                       read):
+            if chunk.m0 == 0:  # what the checks one step from t0 read, this chunk holds
+                t0_checks = _t0_checks(config, engine, initial)
+            yield from chunk_rows(*chunk)
+            chunk = None  # not held beside the next chunk's unitaries
+        worst = engine.max_grid_defect
+        checks.append(CheckReport(name="unitarity_along_grid", passed=worst <= 1e-9,
+                                  residuals={"max_unitary_defect": worst}))
+        if e0 is not None:
+            checks.append(CheckReport(name="energy_conservation",
+                                      passed=energy_drift <= 1e-10 * max(1.0, abs(e0)),
+                                      residuals={"energy_drift": energy_drift}))
+        checks.extend(t0_checks)
 
-    return ScenarioResult(config, header, rows, _run_checks(engine, energy_series) + t0_checks)
+    return header, rows(), checks
 
 
 def _rows(ham: Hamiltonian, node: ObservableExpr, times: list[float], path: str) -> np.ndarray:
@@ -430,19 +421,6 @@ def _for_field(path: str, compute, *args, **kwargs):
         return compute(*args, **kwargs)
     except ExprEvalError as exc:
         raise ExprEvalError(f"{path}: {exc}") from exc
-
-
-def _run_checks(engine: EvolutionEngine, energy_series: list[float]) -> list[CheckReport]:
-    """The checks over the whole run: the grid's unitarity and, for a constant H, energy."""
-    worst = engine.max_grid_defect
-    checks = [CheckReport(name="unitarity_along_grid", passed=worst <= 1e-9,
-                          residuals={"max_unitary_defect": worst})]
-    if energy_series:
-        drift = max(abs(e - energy_series[0]) for e in energy_series)
-        checks.append(CheckReport(name="energy_conservation",
-                                  passed=drift <= 1e-10 * max(1.0, abs(energy_series[0])),
-                                  residuals={"energy_drift": drift}))
-    return checks
 
 
 def _t0_checks(config: ScenarioConfig, engine: EvolutionEngine,

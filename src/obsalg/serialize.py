@@ -162,17 +162,18 @@ def fmt_number(x) -> str:
     return f"{float(x):.16e}"
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    """Each cell as :func:`fmt_number` writes it; a row is formatted by one ``%``
-    string of its cell types, built again only when they change."""
-    lines = [",".join(header)]
-    kinds = form = None
-    for row in rows:
-        if len(row) != len(header):
-            raise AlgebraError(f"row width {len(row)} != header width {len(header)}")
-        if (row_kinds := tuple(map(type, row))) != kinds:
-            kinds, form = row_kinds, ",".join(
-                "%s" if issubclass(kind, str) else
-                "%d" if issubclass(kind, (int, np.integer)) else "%.16e" for kind in row_kinds)
-        lines.append(form % tuple(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Each cell as :func:`fmt_number` writes it, a row at a time as ``rows`` yields it; a row
+    is formatted by one ``%`` string of its cell types, built again only when they change."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        kinds = form = None
+        for row in rows:
+            if len(row) != len(header):
+                raise AlgebraError(f"row width {len(row)} != header width {len(header)}")
+            if (row_kinds := tuple(map(type, row))) != kinds:
+                kinds, form = row_kinds, ",".join(
+                    "%s" if issubclass(kind, str) else
+                    "%d" if issubclass(kind, (int, np.integer)) else "%.16e"
+                    for kind in row_kinds) + "\n"
+            out.write(form % tuple(row))

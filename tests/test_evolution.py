@@ -345,6 +345,23 @@ def test_planted_asymmetry_fails_all_three():
     assert not report.details["drift_pass"]
 
 
+def test_symmetry_check_takes_one_eigh_of_f(monkeypatch):
+    """e^{i xi F} for the three xi are read from one spectral frame of F."""
+    engine = rabi_engine(steps=10)
+    engine.unitary(0.0)  # the grid step's U, with the eigenframe that the frames read
+    matrices = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    report = symmetry_check(engine, Observable(SZ))
+    assert sum(matrices) == 1
+    assert not report.details["conjugation_pass"]
+
+
 def test_constant_of_motion_long_drift(rng):
     engine, _ = oscillator_engine(tau=0.05, steps=1000)
     h = engine.hamiltonian.evaluate(0.0)
@@ -459,26 +476,53 @@ def test_residual_checks_take_one_norm_of_h(monkeypatch):
 
 def test_heisenberg_frames_are_powers_of_the_step_for_a_constant_h():
     engine = rabi_engine(steps=6)
-    frames = list(engine.heisenberg_frames())
-    assert [t for t, _ in frames] == [float(t) for t in engine.grid.times()]
+    first, second = engine.trajectory(4, frames=True)  # rows 0-4, then 4-6
+    assert (first.m0, second.m0) == (0, 4)
+    assert first.times + second.times[1:] == engine.grid.times().tolist()
+    assert np.array_equal(first.frames[-1], second.frames[0])
+    assert first.unitaries is None and np.array_equal(first.frames[0], np.eye(2))
     u = engine.unitary(0.0).entries
-    for m, (_, v) in enumerate(frames):
+    for m, v in enumerate([*first.frames, *second.frames[1:]]):
         assert opnorm(v - np.linalg.matrix_power(u, m)) < 1e-14
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_driven_frames_multiply_each_step_on_the_left(size):
+    """A driven H's frames are V_{m+1} = U(t_m) V_m, bit for bit, for any chunk length:
+    the only product of step unitaries, so the one place that sets their time order."""
+    ctx = EvalContext(dim=2, operators={"SX": Observable(SX), "SZ": Observable(SZ)})
+    engine = EvolutionEngine(Hamiltonian("cos(t)*SX + 0.5*SZ", ctx), TimeGrid(0.1, 7))
+    chunks = list(engine.trajectory(size, frames=True))
+    frames = np.concatenate([chunks[0].frames[:1], *(c.frames[1:] for c in chunks)])
+    v = np.eye(2, dtype=complex)
+    for t, frame in zip(engine.grid.times().tolist(), frames):
+        assert np.array_equal(frame, v)
+        v = engine.unitary(t).entries @ v
+    for chunk in chunks:
+        h = engine.hamiltonian.values(engine.hamiltonian.expr, chunk.times[:-1])[0]
+        assert np.array_equal(chunk.h, h) and len(chunk.unitaries) == len(chunk.times) - 1
+
+
+def _frozen_frames(monkeypatch, calls: list):
+    """Every frame the trajectory yields the identity: nothing moves."""
+    trajectory = EvolutionEngine.trajectory
+
+    def frozen(engine, *args, **kwargs):
+        calls.append(engine)
+        for chunk in trajectory(engine, *args, **kwargs):
+            yield chunk._replace(frames=np.broadcast_to(np.eye(engine.dim, dtype=complex),
+                                                        chunk.frames.shape))
+
+    monkeypatch.setattr(EvolutionEngine, "trajectory", frozen)
 
 
 def test_heisenberg_reads_draw_their_frames_from_the_engine(monkeypatch):
     """The trace, the drift and the commutator persistence all read V_m from
-    ``EvolutionEngine.heisenberg_frames``, the one place the step order is set."""
+    ``EvolutionEngine.trajectory``, the one place the step order is set."""
     from obsalg.scenarios import config_from_doc, run_scenario
 
     calls = []
-
-    def frozen_frames(engine):  # every frame the identity: nothing moves
-        calls.append(engine)
-        for t in engine.grid.times():
-            yield float(t), np.eye(engine.dim, dtype=complex)
-
-    monkeypatch.setattr(EvolutionEngine, "heisenberg_frames", frozen_frames)
+    _frozen_frames(monkeypatch, calls)
     pauli = {"SX": {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]},
              "SZ": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}}
     result = run_scenario(config_from_doc({
@@ -495,16 +539,12 @@ def test_heisenberg_reads_draw_their_frames_from_the_engine(monkeypatch):
 
 def test_heisenberg_trace_residual_reads_the_frames_the_run_steps_with(monkeypatch):
     """The trace's Heisenberg residual takes O(t_m) and O(t_{m+1}) from the frames
-    ``EvolutionEngine.heisenberg_frames`` yields and propagates nothing itself:
+    ``EvolutionEngine.trajectory`` yields and propagates nothing itself:
     with every frame the identity, O does not move, so the difference quotient
     is 0 and the residual is the whole generator ||[SZ, 0.5 SX]/i|| = 1."""
     from obsalg.scenarios import config_from_doc, run_scenario
 
-    def frozen_frames(engine):
-        for t in engine.grid.times():
-            yield float(t), np.eye(engine.dim, dtype=complex)
-
-    monkeypatch.setattr(EvolutionEngine, "heisenberg_frames", frozen_frames)
+    _frozen_frames(monkeypatch, [])
     pauli = {"SX": {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]},
              "SZ": {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}}
     result = run_scenario(config_from_doc({

@@ -125,7 +125,7 @@ def test_chunk_of_step_unitaries_matches_one_step_at_a_time(rng, d):
         return EvolutionEngine(Hamiltonian("A + cos(t)*B + t*A^2", ctx), TimeGrid(0.05, 6))
 
     stacked, single = engine(), engine()
-    stacked.step_unitaries(times[:-1])
+    next(stacked.trajectory(6))  # one chunk of the six steps
     for t in times[:-1]:
         assert same_bits(stacked.unitary(t).entries, single.unitary(t).entries)
     assert stacked.max_grid_defect == single.max_grid_defect > 0
@@ -139,7 +139,7 @@ def test_a_constant_hamiltonian_computes_its_unitary_once(rng, monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
     times = engine.grid.times().tolist()
-    engine.step_unitaries(times[:-1])
+    next(engine.trajectory(6))
     assert {engine.unitary(t).entries.tobytes() for t in times[:-1]} == {
         engine.unitary(0.0).entries.tobytes()}
     assert len(calls) == 1
@@ -182,7 +182,7 @@ def test_unitary_defect_gate_names_the_failing_row(rng, monkeypatch):
 
     monkeypatch.setattr(evolution, "_taylor_exponential", spoiled)
     with pytest.raises(AlgebraError, match=r"^evolution unitary defect .* \(stack row 3\)$"):
-        engine.step_unitaries(engine.grid.times().tolist()[:-1])
+        engine._certify(tuple(engine.grid.times().tolist()[:-1]), engine.grid.tau)
 
 
 # --- defects pruned by their bound ------------------------------------------------------------
@@ -231,7 +231,7 @@ def test_pruned_defects_report_the_largest_defect_bit_for_bit(rng, monkeypatch, 
     certified = _planting(monkeypatch, sizes, d)
     times = engine.grid.times().tolist()[:-1]
     if walk == "chunk":
-        engine.step_unitaries(times)
+        next(engine.trajectory(steps))
     for t in times:
         engine.unitary(t)
     assert len(certified) == steps
@@ -289,7 +289,7 @@ def test_pruned_defect_gate_names_the_first_failing_row_of_the_stack(rng, monkey
     times = engine.grid.times().tolist()[:-1]
     with pytest.raises(AlgebraError) as raised:
         if walk == "chunk":
-            engine.step_unitaries(times)
+            engine._certify(tuple(times), engine.grid.tau)
         else:
             for t in times:
                 engine.unitary(t)
@@ -317,7 +317,7 @@ def test_a_nan_unitary_raises_as_its_defect_does(rng, monkeypatch, walk):
     with pytest.raises(AlgebraError, match=r"^no spectral norm: the SVD failed on a non-finite "
                                            r"entry$"):
         if walk == "chunk":
-            engine.step_unitaries(times)
+            engine._certify(tuple(times), engine.grid.tau)
         else:
             engine.unitary(times[0])
 

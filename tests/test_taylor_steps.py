@@ -130,7 +130,7 @@ def test_a_chunk_crossing_theta_1_takes_the_eigh_path_past_it(tmp_path, monkeypa
     doc = density_doc(picture, state, CROSSING, steps=7)
     engine = build_engine(config_from_doc(doc))
     times = engine.grid.times().tolist()[:-1]
-    stack = engine.step_unitaries(times)  # the whole run is one chunk
+    stack = next(engine.trajectory(len(times))).unitaries  # the whole run is one chunk
     h, _ = engine.hamiltonian.values(engine.hamiltonian.expr, times)
     g = h * complex(engine.grid.tau)
     past = [theta_and_degree(g_j)[0] > 1 for g_j in g]

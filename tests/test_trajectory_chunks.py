@@ -115,31 +115,119 @@ def test_hermiticity_gates_fire_beyond_the_first_chunk(tmp_path, picture, where)
     assert "Traceback" not in err
 
 
+def test_the_streamed_trace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    """The trace is written as the run goes into a temporary file: a run that fails beyond
+    its first chunk leaves neither ``--out`` nor that file, and one that succeeds copies it
+    into ``--out`` and removes it."""
+    import tempfile
+
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    late = _late_anti_hermitian_term(FIRST_FAILING_ROW, 0.01)
+    for traced, want in (({"sz": "SZ", "x": f"SX + {late}"}, 2), ({"sz": "SZ"}, 0)):
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(_qubit_doc("schrodinger", "(omega/2)*SX", traced,
+                                              FIRST_FAILING_ROW + 400)))
+        code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
+        assert code == want, err
+        assert (tmp_path / "out").exists() == (want == 0)
+        assert not any(scratch.iterdir())
+    trace = (tmp_path / "out" / "late_trace.csv").read_text().splitlines()
+    assert len(trace) == FIRST_FAILING_ROW + 402
+
+
 @pytest.mark.parametrize("picture", PICTURES)
 @pytest.mark.parametrize("state", ["pure", "density"])
 def test_trajectory_computes_one_unitary_per_grid_step(monkeypatch, picture, state):
-    """Per grid step, one ``EvolutionEngine.unitary`` call, or for a pure state in the
-    Schroedinger picture, which reads U^dagger from the chunk's certified stack, one
-    certified unitary: the Schroedinger residual reads the U^dagger psi that its step
-    computed.  Per-step cost is the difference between a 100-step and a 50-step run."""
+    """Per grid step, one certified unitary: the frames, the pure state's steps and the
+    density's steps all read U from the chunk's certified stack, and the Schroedinger
+    residual reads the U^dagger psi that its step computed.  Per-step cost is the
+    difference between a 100-step and a 50-step run."""
     calls = []
-    unitary, certify = EvolutionEngine.unitary, EvolutionEngine._certify
-
-    def counting(engine, t, step=None):
-        calls.append(t)
-        return unitary(engine, t, step)
+    certify = EvolutionEngine._certify
 
     def counting_rows(engine, times, step):
         calls.extend(times)
         return certify(engine, times, step)
 
-    if (picture, state) == ("schrodinger", "pure"):
-        monkeypatch.setattr(EvolutionEngine, "_certify", counting_rows)
-    else:
-        monkeypatch.setattr(EvolutionEngine, "unitary", counting)
+    monkeypatch.setattr(EvolutionEngine, "_certify", counting_rows)
     totals = []
     for steps in (50, 100):
         calls.clear()
         run_scenario(config_from_doc(density_doc(picture, state, "A + cos(nu*t)*B", steps)))
         totals.append(len(calls))
     assert totals[1] - totals[0] == 50
+
+
+# --- memory flat in the step count -------------------------------------------------------------
+
+def _long_doc(kind: str, steps: int) -> dict:
+    """Bundled rabi (constant H, Schroedinger), or the driven qubit in the Heisenberg picture."""
+    doc = {"name": kind, "operators": {"SX": SX, "SZ": SZ}, "hamiltonian": "(omega/2)*SX",
+           "constants": {"omega": 1.0}, "initial_state": 0,
+           "grid": {"tau": 2 * math.pi / 100, "steps": steps},
+           "observables_to_trace": {"sz": "SZ", "sx": "SX", "energy": "(omega/2)*SX"}}
+    if kind == "driven_qubit":
+        doc.update(hamiltonian="(omega/2)*cos(nu*t)*SX + (delta/2)*SZ",
+                   constants={"omega": 1.0, "delta": 0.5, "nu": 1.3},
+                   observables_to_trace={"sz": "SZ", "sx": "SX"}, picture="heisenberg")
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["rabi", "driven_qubit"])
+def test_cli_run_memory_is_flat_in_step_count(tmp_path, kind):
+    """``obsalg run`` writes each chunk's rows as they come and keeps no row: its traced
+    peak at 2*10^4 steps is within 256 KiB of its peak at 5*10^3, both several chunks
+    (4,096 steps a chunk for rabi's pure state, 2,048 for the qubit's frames).  Keeping
+    the rows until the run ends would add about 370 B a step, 5 MiB here."""
+    import tracemalloc
+
+    def peak(steps: int) -> int:
+        config = tmp_path / f"{kind}_{steps}.json"
+        config.write_text(json.dumps(_long_doc(kind, steps)))
+        tracemalloc.start()
+        try:
+            code, err = run_cli(["run", str(config), "--out", str(tmp_path / str(steps))])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert len((tmp_path / str(steps) / f"{kind}_trace.csv").read_text().splitlines()) \
+            == steps + 2
+        return peak
+
+    # the first run of full chunks fills CPython's free lists, which stay for the process
+    peak(5_000)
+    assert abs(peak(20_000) - peak(5_000)) <= 256 * 2 ** 10
+
+
+def test_first_chunk_of_a_trillion_step_grid_is_read_in_bounded_memory():
+    """The trajectory computes its times per chunk, so the first chunk of a 10^12-step
+    grid, and the run's first rows, are read without the grid (8 TB of times)."""
+    import itertools
+    import tracemalloc
+
+    from obsalg.evolution import TimeGrid
+    from obsalg.scenarios import build_engine, trace_scenario
+
+    config = config_from_doc(_long_doc("rabi", 10 ** 12) | {"grid": {"tau": 1e-10,
+                                                                     "steps": 10 ** 12}})
+    engine = build_engine(config)
+    tracemalloc.start()
+    try:
+        chunk = next(engine.trajectory(frames=True))
+        _, chunk_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        header, rows, _ = trace_scenario(config)
+        first = list(itertools.islice(rows, 5000))  # beyond the run's first chunk
+        _, rows_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = scenarios.CHUNK_BYTES // (16 * 2 ** 2)
+    assert chunk.m0 == 0 and chunk.times == TimeGrid(1e-10, size).times().tolist()
+    assert chunk.frames.shape == (size + 1, 2, 2)
+    assert [row[:2] for row in first[:3]] == [[0, 0.0], [1, 1e-10], [2, 2e-10]]
+    assert header[:2] == ["step", "t"] and first[-1][0] == 4999
+    assert chunk_peak <= 8 * scenarios.CHUNK_BYTES  # 1 MiB: a chunk's stacks, not the grid
+    assert rows_peak <= 64 * scenarios.CHUNK_BYTES  # 8 MiB: the engine, checks and a chunk
