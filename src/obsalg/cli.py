@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import shutil
 import sys
-import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -66,11 +64,20 @@ def cmd_run(args) -> int:
     outdir = Path(args.out) if args.out else _default_outdir()
     trace_path = outdir / f"{config.name}_trace.csv"
     audit_path = outdir / f"{config.name}_audit.json"
-    # the trace is written as the run computes it, and copied to --out once the run succeeded
-    with tempfile.TemporaryDirectory() as scratch:
-        write_csv(Path(scratch) / trace_path.name, header, rows)
-        outdir.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(Path(scratch) / trace_path.name, trace_path)
+    # the trace is written into --out as the run computes it, under a hidden name that is
+    # renamed to the trace's once the run succeeded; a failed run removes the file and the
+    # directories it made.  Written in place, not copied from elsewhere, it is written once.
+    partial = trace_path.with_name(f".{trace_path.name}.partial")
+    made = [path for path in (outdir, *outdir.parents) if not path.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        write_csv(partial, header, rows)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        for path in made:  # the deepest first
+            path.rmdir()
+        raise
+    partial.replace(trace_path)
     result = ScenarioResult(config, header, [], checks)  # its rows are in the trace
     dump_json(audit_path, result.audit_doc())
     print(f"trace: {trace_path}")

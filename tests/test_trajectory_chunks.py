@@ -115,26 +115,28 @@ def test_hermiticity_gates_fire_beyond_the_first_chunk(tmp_path, picture, where)
     assert "Traceback" not in err
 
 
-def test_the_streamed_trace_leaves_no_temporary_file(tmp_path, monkeypatch):
-    """The trace is written as the run goes into a temporary file: a run that fails beyond
-    its first chunk leaves neither ``--out`` nor that file, and one that succeeds copies it
-    into ``--out`` and removes it."""
-    import tempfile
-
-    scratch = tmp_path / "scratch"
-    scratch.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+def test_the_streamed_trace_leaves_no_partial_file(tmp_path):
+    """The trace is written into ``--out`` as the run goes, under a hidden name: a run that
+    fails beyond its first chunk removes the directories it made and keeps the trace of an
+    earlier run, and one that succeeds leaves only the trace and the audit."""
     late = _late_anti_hermitian_term(FIRST_FAILING_ROW, 0.01)
-    for traced, want in (({"sz": "SZ", "x": f"SX + {late}"}, 2), ({"sz": "SZ"}, 0)):
+    out = tmp_path / "new" / "out"
+
+    def run(traced):
         path = tmp_path / "late.json"
         path.write_text(json.dumps(_qubit_doc("schrodinger", "(omega/2)*SX", traced,
                                               FIRST_FAILING_ROW + 400)))
-        code, err = run_cli(["run", str(path), "--out", str(tmp_path / "out")])
-        assert code == want, err
-        assert (tmp_path / "out").exists() == (want == 0)
-        assert not any(scratch.iterdir())
-    trace = (tmp_path / "out" / "late_trace.csv").read_text().splitlines()
-    assert len(trace) == FIRST_FAILING_ROW + 402
+        return run_cli(["run", str(path), "--out", str(out)])
+
+    failing, passing = {"sz": "SZ", "x": f"SX + {late}"}, {"sz": "SZ"}
+    assert run(failing)[0] == 2
+    assert not (tmp_path / "new").exists()
+    assert run(passing)[0] == 0
+    trace = (out / "late_trace.csv").read_text()
+    assert len(trace.splitlines()) == FIRST_FAILING_ROW + 402
+    assert run(failing)[0] == 2
+    assert sorted(p.name for p in out.iterdir()) == ["late_audit.json", "late_trace.csv"]
+    assert (out / "late_trace.csv").read_text() == trace
 
 
 @pytest.mark.parametrize("picture", PICTURES)
